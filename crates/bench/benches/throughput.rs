@@ -31,8 +31,11 @@ fn bench_throughput(c: &mut Criterion) {
 
     for shards in [1usize, 2, 4, 8] {
         c.bench_function(&format!("runtime/sharded/{shards}shards/{n}pkts"), |b| {
-            let mut rt =
-                RuntimeBuilder::new().shards(shards).batch_size(256).register(&detector).build();
+            let mut rt = RuntimeBuilder::new()
+                .shards(shards)
+                .batch_size(256)
+                .register(&detector)
+                .build_streaming();
             b.iter(|| {
                 rt.reset();
                 black_box(rt.run_trace(&trace))

@@ -53,5 +53,4 @@ fn main() {
         &rows,
     );
     println!("\nPaper shape: higher sampling rates converge in less wall time\n(tens to hundreds of milliseconds at 1e-2).");
-    taurus_bench::save_json("fig13", &curves);
 }

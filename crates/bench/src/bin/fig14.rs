@@ -58,5 +58,4 @@ fn main() {
         &rows,
     );
     println!("\nPaper shape: smaller batches with more epochs converge to the highest F1;\nthe extra training time is offset by faster convergence.");
-    taurus_bench::save_json("fig14", &curves);
 }

@@ -156,7 +156,7 @@ fn measure_roster(
     trace: &PacketTrace,
     batch_size: usize,
     build_switch: impl Fn() -> TaurusSwitch,
-    build_runtime: impl Fn(usize, usize) -> taurus_runtime::ShardedRuntime,
+    build_runtime: impl Fn(usize, usize) -> taurus_runtime::StreamingRuntime,
 ) -> RosterResult {
     // Sequential reference: one warm-up pass (fills flow registers,
     // grows every reusable buffer to steady state), then a timed pass
@@ -590,7 +590,11 @@ fn main() {
         256,
         || SwitchBuilder::new().register(&detector).build(),
         |shards, batch| {
-            RuntimeBuilder::new().shards(shards).batch_size(batch).register(&detector).build()
+            RuntimeBuilder::new()
+                .shards(shards)
+                .batch_size(batch)
+                .register(&detector)
+                .build_streaming()
         },
     );
     // The cheap engine drains a 256-packet batch in ~30 µs — channel
@@ -607,7 +611,7 @@ fn main() {
                 .shards(shards)
                 .batch_size(batch)
                 .register_on(&syn, EngineBackend::Threshold)
-                .build()
+                .build_streaming()
         },
     );
     // The keyed set-associative table, priced on the cheap roster where
@@ -634,7 +638,7 @@ fn main() {
                 .batch_size(batch)
                 .config(keyed_config.clone())
                 .register_on(&syn, EngineBackend::Threshold)
-                .build()
+                .build_streaming()
         },
     );
     // The keyed table's own statistics over this workload, for the
@@ -768,7 +772,7 @@ fn main() {
     let parse_workers_at_8 = RuntimeBuilder::new()
         .shards(8)
         .register_on(&syn, EngineBackend::Threshold)
-        .build()
+        .build_streaming()
         .parse_worker_count();
     let shard1 = cgra.shard_pps.iter().find(|&&(s, _)| s == 1).expect("1-shard run").1;
     let shard8 = cgra.shard_pps.iter().find(|&&(s, _)| s == 8).expect("8-shard run").1;

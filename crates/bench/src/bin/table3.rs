@@ -49,5 +49,4 @@ fn main() {
         &["DNN Kernel", "float32 (%)", "fix8 (%)", "Diff", "paper f32 (%)"],
         &rows,
     );
-    taurus_bench::save_json("table3", &results);
 }

@@ -71,6 +71,5 @@ fn main() {
         "\nPaper anchors: grid 4.8 mm2, +3.8% area, +2.8% power; KMeans 61 ns/0.3 mm2,\n\
          SVM 83 ns/0.6 mm2, DNN 221 ns/1.0 mm2, LSTM 805 ns/3.0 mm2 (not line rate)."
     );
-    taurus_bench::save_json("table5", &rows);
     let _ = results;
 }

@@ -68,8 +68,11 @@ fn main() {
     let mut modeled_pps = Vec::new();
     let mut last_report = None;
     for shards in SHARD_COUNTS {
-        let mut rt =
-            RuntimeBuilder::new().shards(shards).batch_size(256).register(&detector).build();
+        let mut rt = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(256)
+            .register(&detector)
+            .build_streaming();
         let t0 = Instant::now();
         let report = rt.run_trace(&trace);
         let secs = t0.elapsed().as_secs_f64();

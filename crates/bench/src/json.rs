@@ -1,7 +1,7 @@
 //! A real, deterministic JSON encoder for experiment artifacts.
 //!
-//! The workspace's vendored `serde`/`serde_json` are offline marker
-//! shims that cannot serialize (see `vendor/serde_json`), so result
+//! The workspace's vendored `serde` is an offline marker shim that
+//! cannot serialize (see `vendor/serde`), so result
 //! files — including the golden Table 8 snapshot under `results/` —
 //! are produced by this hand-rolled encoder instead. Determinism is the
 //! point: object keys are emitted in declaration order, floats use

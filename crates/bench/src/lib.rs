@@ -44,21 +44,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes experiment results as JSON under `results/` for provenance.
-/// With the vendored `serde_json` stub this silently skips the sidecar
-/// file; types with a [`json::ToJson`] impl should prefer
-/// [`save_rendered_json`], which always writes.
-pub fn save_json(name: &str, value: &impl serde::Serialize) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(path, json);
-    }
-}
-
 /// Renders a [`json::ToJson`] value with the deterministic hand-rolled
 /// encoder and writes it under `results/<name>.json`.
 pub fn save_rendered_json(name: &str, value: &impl json::ToJson) {

@@ -1,7 +1,7 @@
 //! Online training against a **live** deployment (§5.2.3, Figs. 13–14):
 //! the control-plane loop that samples telemetry from the actual trace
 //! stream, retrains with real SGD, and installs each round's weights
-//! onto a running [`ShardedRuntime`] — then reports the *deployed*
+//! onto a running [`StreamingRuntime`] — then reports the *deployed*
 //! model's F1/detection over virtual time, measured from the verdicts
 //! the data plane actually issued.
 //!
@@ -52,7 +52,8 @@ use taurus_core::e2e::extract_stream_features;
 use taurus_dataset::trace::PacketTrace;
 use taurus_ml::{Mlp, TrainParams};
 
-use crate::runtime::{RuntimeBuilder, RuntimeReport, ShardedRuntime};
+use crate::runtime::{RuntimeBuilder, RuntimeReport};
+use crate::service::StreamingRuntime;
 
 /// Configuration of one online-deployment run: the control-plane
 /// training knobs plus the data-plane geometry.
@@ -68,11 +69,11 @@ pub struct DeploymentConfig {
     /// Packets per ingest batch.
     pub batch_size: usize,
     /// Parse workers for the ingest pipeline: `None` lets the builder
-    /// auto-resolve from the host's spare cores (0 on small hosts —
-    /// the classic inline path), `Some(n)` pins it. Either way the
-    /// report is bit-identical: ingest mode changes wall clock only.
+    /// auto-resolve from the host's spare cores (0 on small hosts — the
+    /// calling thread parses), `Some(n)` pins it. Either way the report
+    /// is bit-identical: the parse-worker count changes wall clock only.
     pub parse_workers: Option<usize>,
-    /// Epoch length for pipelined ingest (`None` = builder default).
+    /// Ingest epoch length (`None` = builder default).
     pub epoch_len: Option<usize>,
 }
 
@@ -171,7 +172,7 @@ pub fn run_online_deployment(
     if let Some(epoch_len) = config.epoch_len {
         builder = builder.epoch_len(epoch_len);
     }
-    let mut runtime: ShardedRuntime = builder.register(app).build();
+    let mut runtime: StreamingRuntime = builder.register(app).build_streaming();
 
     // Deploy the starting model as version 1 before any packet flows —
     // quantization needs calibration inputs, for which the control
@@ -240,7 +241,8 @@ pub fn run_online_deployment(
         let train_loss = model.train(px, py, &params);
 
         version += 1;
-        runtime.schedule_update(install_idx, app.prepare_update(&model, px, version));
+        let at = runtime.stream_position() + install_idx;
+        runtime.schedule_update(at, app.prepare_update(&model, px, version));
         rounds.push(DeploymentRound {
             round,
             version,

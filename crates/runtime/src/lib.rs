@@ -3,12 +3,15 @@
 //! The paper's Taurus device processes every packet through per-packet
 //! ML at line rate; one simulated [`TaurusSwitch`] on one thread cannot
 //! come close. This crate is the execution layer above the single
-//! device: it hosts **N independent switch replicas** (one per worker
-//! thread), routes packets by **flow-consistent hashing**
-//! (`canonical().hash() % shards`, so per-flow register state stays
-//! coherent within one shard), feeds workers **fixed-size batches over
-//! bounded SPSC channels** ([`spsc`]), and **merges** the per-shard
-//! [`SwitchReport`]s into one global report.
+//! device, and [`StreamingRuntime`] ([`service`]) is its one runtime
+//! type. It hosts **N independent switch replicas**, each owned by a
+//! resident worker thread, and routes packets by **flow-consistent
+//! slot routing**: [`shard_of`] folds a flow key's register slot
+//! (`flow_key % flow_slots`), or its bucket in keyed mode, onto the
+//! shard count, so per-flow register state stays coherent within one
+//! shard. Workers are fed **fixed-size batches over bounded SPSC
+//! channels** ([`spsc`]) by the ingest pipeline ([`pipeline`]), and the
+//! per-shard [`SwitchReport`]s **merge** into one global report.
 //!
 //! The load-bearing property is *exactness*: on the same trace, the
 //! merged report equals the sequential switch's report bit for bit —
@@ -16,21 +19,16 @@
 //! `tests/determinism.rs` for the pinning suite). Parallelism changes
 //! the wall clock, never the semantics.
 //!
-//! The runtime also serves **live model updates**: a
+//! Ingest is push-style ([`StreamingRuntime::feed`] /
+//! [`StreamingRuntime::drain`] / [`StreamingRuntime::shutdown`]). The
+//! runtime also serves **live model updates**: a
 //! [`taurus_core::ModelUpdate`] scheduled via
-//! [`ShardedRuntime::schedule_update`] is applied on every shard at the
-//! same global packet index (an in-band message at a batch boundary),
-//! extending the exactness guarantee across weight swaps — and
-//! [`deploy::run_online_deployment`] closes the §5.2.3 loop by training
-//! online against the live runtime and measuring the *deployed* F1.
-//!
-//! Underneath the run-at-a-time API lives the persistent
-//! [`StreamingRuntime`] ([`service`]): engine workers are spawned once
-//! and stay resident, ingest is a push-style stream source
-//! ([`StreamingRuntime::feed`] / [`StreamingRuntime::drain`] /
-//! [`StreamingRuntime::shutdown`]), updates can be scheduled against
-//! the global stream index while the service is live, and the
-//! per-flow table supports idle-timeout eviction
+//! [`StreamingRuntime::schedule_update`] at a global stream index is
+//! applied on every shard at that same index (an in-band message at a
+//! batch boundary), extending the exactness guarantee across weight
+//! swaps — and [`deploy::run_online_deployment`] closes the §5.2.3 loop
+//! by training online against the live runtime and measuring the
+//! *deployed* F1. The per-flow table supports idle-timeout eviction
 //! ([`taurus_pisa::PipelineConfig::idle_timeout_ns`]) so flow state
 //! stays bounded on endless streams.
 //!
@@ -55,7 +53,7 @@
 //!     .shards(4)
 //!     .batch_size(32)
 //!     .register_on(&syn, EngineBackend::Threshold)
-//!     .build();
+//!     .build_streaming();
 //!
 //! let records = KddGenerator::new(7).take(100);
 //! let trace = PacketTrace::expand(records, &TraceConfig::default());
@@ -82,6 +80,6 @@ pub use fault::{
 pub use overload::{OverloadPolicy, OverloadReport, QuarantineCounts};
 pub use pipeline::{epoch_count, parse_packet, resolve_and_count, EpochBatch, ParsedSlot};
 pub use runtime::{
-    shard_of, BuildError, PreparedPacket, RuntimeBuilder, RuntimeReport, ShardStats, ShardedRuntime,
+    shard_of, BuildError, PreparedPacket, RuntimeBuilder, RuntimeReport, ShardStats,
 };
-pub use service::{CanaryConfig, CanaryController, StreamingRuntime};
+pub use service::StreamingRuntime;

@@ -8,7 +8,9 @@
 //! to the merge stage over its output lane. Everything here is
 //! **order-free**: no worker reads or writes any cross-packet state
 //! that another worker could observe, which is why the stage scales
-//! with cores while the merged result stays bit-identical.
+//! with cores while the merged result stays bit-identical. With zero
+//! workers the calling thread runs the same per-epoch step,
+//! `parse_epoch`, itself.
 //!
 //! Shutdown mirrors the engine lanes: a closed output lane (the merge
 //! stage died or stopped consuming) or a closed recycle lane ends the
@@ -47,10 +49,38 @@ pub fn parse_packet(
     slot.shard = shard_of(slot.prepared.obs.flow_key, route_slots, shards) as u32;
 }
 
-/// The per-run geometry every parse worker shares.
+/// Parses epoch `epoch` of `packets` into `arena` in place, growing its
+/// slots only on first use. `epoch_seen` is the epoch-local first-seen
+/// set the candidate filter runs on; it is cleared here and, sized to
+/// `epoch_len` once, never reallocates.
+pub(crate) fn parse_epoch(
+    epoch: usize,
+    plan: &ParsePlan,
+    packets: &[TracePacket],
+    arena: &mut EpochBatch,
+    epoch_seen: &mut HashSet<u32>,
+) {
+    let base = epoch * plan.epoch_len;
+    let end = (base + plan.epoch_len).min(packets.len());
+    epoch_seen.clear();
+    for (i, tp) in packets[base..end].iter().enumerate() {
+        if arena.slots.len() == i {
+            arena.slots.push(ParsedSlot::default()); // first-run growth
+        }
+        let candidate = !plan.keyed && epoch_seen.insert(tp.conn_id);
+        parse_packet(tp, &mut arena.slots[i], plan.route_slots, plan.shards, candidate);
+    }
+    arena.epoch = epoch as u64;
+    arena.base = base as u64;
+    arena.len = end - base;
+}
+
+/// The per-run parse geometry, shared by every parse worker (and by
+/// the calling thread when it parses itself).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ParsePlan {
-    /// Total parse workers (worker `w` owns epochs `w, w+workers, …`).
+    /// Total parse workers (worker `w` owns epochs `w, w+workers, …`;
+    /// `0` when the calling thread parses).
     pub workers: usize,
     /// Packets per epoch.
     pub epoch_len: usize,
@@ -84,36 +114,23 @@ pub(crate) struct ParsePlan {
 /// immediately with whatever it has.
 pub(crate) fn parse_worker(
     worker: usize,
-    plan: ParsePlan,
+    plan: &ParsePlan,
     packets: &[TracePacket],
     out: &spsc::Sender<EpochBatch>,
     recycle: &spsc::Receiver<EpochBatch>,
 ) -> Vec<EpochBatch> {
-    let ParsePlan { workers, epoch_len, route_slots, shards, keyed } = plan;
-    let epochs = epoch_count(packets.len(), epoch_len);
+    let epochs = epoch_count(packets.len(), plan.epoch_len);
     // Epoch-local first-seen: cleared per epoch, capacity provisioned
     // once so steady-state epochs never reallocate it (an epoch holds
     // at most `epoch_len` distinct connections).
-    let mut epoch_seen: HashSet<u32> = HashSet::with_capacity(epoch_len);
+    let mut epoch_seen: HashSet<u32> = HashSet::with_capacity(plan.epoch_len);
     let mut kept = Vec::with_capacity(ARENAS_PER_WORKER);
     let mut mine = 0usize;
-    for epoch in (worker..epochs).step_by(workers) {
+    for epoch in (worker..epochs).step_by(plan.workers) {
         let Ok(mut arena) = recycle.recv() else {
             return kept; // the merge stage is gone
         };
-        let base = epoch * epoch_len;
-        let end = (base + epoch_len).min(packets.len());
-        epoch_seen.clear();
-        for (i, tp) in packets[base..end].iter().enumerate() {
-            if arena.slots.len() == i {
-                arena.slots.push(ParsedSlot::default()); // first-run growth
-            }
-            let candidate = !keyed && epoch_seen.insert(tp.conn_id);
-            parse_packet(tp, &mut arena.slots[i], route_slots, shards, candidate);
-        }
-        arena.epoch = epoch as u64;
-        arena.base = base as u64;
-        arena.len = end - base;
+        parse_epoch(epoch, plan, packets, &mut arena, &mut epoch_seen);
         mine += 1;
         if out.send(arena).is_err() {
             return kept; // downstream died; surface at join

@@ -11,9 +11,9 @@
 //!   the whole ingest path that is inherently sequential. Everything
 //!   expensive (parsing, hashing, candidate filtering, routing) already
 //!   happened in parallel on the parse stage.
-//! - [`Steering`]: the per-shard staging arenas and flush discipline,
-//!   shared by the inline (single-thread) ingest path and the pipelined
-//!   merge loop. It owns the recycle cycle (drained buffers return over
+//! - `Steering`: the per-shard staging arenas and flush discipline,
+//!   shared by the merge stage and the runtime's drain and canary
+//!   barriers. It owns the recycle cycle (drained buffers return over
 //!   reverse SPSC lanes; replacements come lane → cross-run pool →
 //!   ramp-up allocation) and the in-band update barrier: flushing every
 //!   staged partial batch and then enqueuing the update on each FIFO
@@ -155,8 +155,8 @@ impl SteerState {
 }
 
 /// Per-shard staging arenas plus the flush/update/recycle discipline —
-/// the writing end of the steer→engine lanes, used by both ingest
-/// modes. The staging arenas live in [`SteerState`] so they survive
+/// the writing end of the steer→engine lanes, used by the merge stage
+/// and the runtime's barriers. The staging arenas live in [`SteerState`] so they survive
 /// across feeds of a resident runtime.
 pub(crate) struct Steering<'a> {
     state: &'a mut SteerState,
@@ -166,8 +166,8 @@ pub(crate) struct Steering<'a> {
     senders: &'a [spsc::Sender<ShardMsg>],
     /// The admission layer: policy, injected saturation windows, and
     /// the shed/degrade/quarantine accounting. Lives on the runtime
-    /// (ingest-side) so counters survive worker faults; both ingest
-    /// modes reach it through [`Steering::overload`].
+    /// (ingest-side) so counters survive worker faults; the merge stage
+    /// reaches it through [`Steering::overload`].
     overload: &'a mut OverloadState,
 }
 

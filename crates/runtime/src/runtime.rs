@@ -1,9 +1,11 @@
-//! The sharded runtime: N [`TaurusSwitch`] replicas on worker threads,
-//! fed fixed-size packet batches over bounded SPSC channels by an
-//! ingest stage that owns everything order-sensitive — either a single
-//! inline thread (the classic path) or the parallel epoch pipeline
-//! ([`crate::pipeline`]) with N parse workers in front of a sequential
-//! merge/steer stage. Both produce bit-identical streams.
+//! The sharded runtime's configuration and report types: N
+//! [`TaurusSwitch`] replicas on resident worker threads
+//! ([`StreamingRuntime`]), fed fixed-size packet batches over bounded
+//! SPSC channels by an ingest stage that owns everything
+//! order-sensitive — the epoch pipeline ([`crate::pipeline`]), whose
+//! parse step runs on the calling thread or on N parse workers in
+//! front of one sequential merge/steer stage. Every parse-worker count
+//! produces the same stream.
 //!
 //! # Why this partitioning is exact
 //!
@@ -21,14 +23,14 @@
 //! 2. **Cross-flow windows** (destination-host / destination-service
 //!    fan-in), keyed by the responder — *not* flow-consistent. The
 //!    ingest stage runs the one [`CrossFlowWindows`] instance in global
-//!    arrival order (inline, or on the pipeline's merge stage) and
+//!    arrival order on the pipeline's merge stage and
 //!    ships each packet's counts inside its batch entry, exactly as the
 //!    paper's hardware computes register features before any egress
 //!    fan-out.
 //! 3. **Flow-start bookkeeping** ([`ObsBuilder`]), also sequential —
-//!    though the pipeline's parse workers pre-filter per-epoch
-//!    candidates so the merge stage probes the seen-set once per
-//!    (connection, epoch) instead of once per packet.
+//!    though the parse step pre-filters per-epoch candidates so the
+//!    merge stage probes the seen-set once per (connection, epoch)
+//!    instead of once per packet.
 //!
 //! With a **keyed** flow table
 //! ([`taurus_pisa::FlowTableKind::Keyed`]) the same argument holds
@@ -48,19 +50,15 @@
 //! and `tests/prop_pipeline.rs` extends the pin across random epoch
 //! lengths and parse-worker counts.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use taurus_core::{
-    DuplicateAppError, EngineBackend, ModelUpdate, SwitchBuilder, SwitchReport, TaurusApp,
-};
-use taurus_dataset::trace::{PacketTrace, TracePacket};
+use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport, TaurusApp};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig};
 
-use crate::fault::{FaultPlan, FaultReport, InstallError};
+use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::{OverloadPolicy, OverloadReport};
 use crate::service::{IngestPlan, StreamingRuntime, SupervisePlan};
 
@@ -116,7 +114,7 @@ pub fn shard_of(flow_key: u64, flow_slots: usize, shards: usize) -> usize {
     (flow_key % flow_slots as u64) as usize % shards
 }
 
-/// Why [`RuntimeBuilder::try_build`] rejected a configuration.
+/// Why [`RuntimeBuilder::try_build_streaming`] rejected a configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// No app was registered; an empty roster has nothing to execute.
@@ -143,7 +141,9 @@ pub enum BuildError {
 impl core::fmt::Display for BuildError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Self::EmptyRoster => write!(f, "register at least one TaurusApp before build()"),
+            Self::EmptyRoster => {
+                write!(f, "register at least one TaurusApp before build_streaming()")
+            }
             Self::DuplicateApp(e) => write!(f, "{e}"),
             Self::NoFlowSlots => write!(f, "pipeline flow_slots must be positive to route flows"),
             Self::MoreShardsThanFlowSlots { shards, flow_slots } => write!(
@@ -174,8 +174,8 @@ impl From<DuplicateAppError> for BuildError {
     }
 }
 
-/// Builds a [`ShardedRuntime`]: shard/batch/queue geometry plus the app
-/// roster, forwarded to every replica's [`SwitchBuilder`].
+/// Builds a [`StreamingRuntime`]: shard/batch/queue geometry plus the
+/// app roster, forwarded to every replica's [`SwitchBuilder`].
 ///
 /// ```
 /// use taurus_core::apps::SynFloodDetector;
@@ -187,7 +187,7 @@ impl From<DuplicateAppError> for BuildError {
 ///     .shards(4)
 ///     .batch_size(32)
 ///     .register_on(&syn, EngineBackend::Threshold)
-///     .build();
+///     .build_streaming();
 /// assert_eq!(runtime.shard_count(), 4);
 /// ```
 pub struct RuntimeBuilder<'a> {
@@ -250,26 +250,26 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Number of parallel parse/flow-steer workers feeding the merge
-    /// stage ([`crate::pipeline`]); `0` selects the classic inline
-    /// single-thread ingest. Both modes produce bit-identical reports —
-    /// this knob trades threads for ingest throughput, never semantics.
+    /// Number of parallel parse workers feeding the merge stage
+    /// ([`crate::pipeline`]); `0` means the calling thread parses each
+    /// epoch itself. Every count runs the same merge code and produces
+    /// bit-identical reports — this knob trades threads for ingest
+    /// throughput, never semantics.
     ///
     /// Default (unset): derived from [`std::thread::available_parallelism`]
     /// at build, leaving cores for the merge stage and the engine
     /// workers — `cores.saturating_sub(shards + 1).min(4)` — which
-    /// resolves to inline ingest on small hosts.
+    /// resolves to zero (the calling thread parses) on small hosts.
     pub fn parse_workers(mut self, n: usize) -> Self {
         self.parse_workers = Some(n);
         self
     }
 
-    /// Packets per pipeline epoch: the granularity at which parse
-    /// workers slice the trace and the merge stage reassembles it.
-    /// Irrelevant to results (any epoch length merges to the same
-    /// stream); larger epochs amortize lane traffic, smaller ones bound
-    /// the merge stage's reorder latency. Only consulted when the
-    /// pipeline is active (`parse_workers > 0`).
+    /// Packets per ingest epoch: the granularity at which the parse step
+    /// slices the trace and the merge stage reassembles it. Irrelevant
+    /// to results (any epoch length merges to the same stream); larger
+    /// epochs amortize lane traffic, smaller ones bound the merge
+    /// stage's reorder latency and the resident epoch arena.
     ///
     /// # Panics
     ///
@@ -295,8 +295,9 @@ impl<'a> RuntimeBuilder<'a> {
     ///
     /// Zero is rejected at build time with
     /// [`BuildError::ZeroQueueDepth`] (via the typed
-    /// [`RuntimeBuilder::try_build`] path, or as a panic carrying the
-    /// same message from [`RuntimeBuilder::build`]) — the lanes are
+    /// [`RuntimeBuilder::try_build_streaming`] path, or as a panic
+    /// carrying the same message from
+    /// [`RuntimeBuilder::build_streaming`]) — the lanes are
     /// non-rendezvous, so a depth-0 channel could never carry a batch.
     pub fn queue_depth(mut self, n: usize) -> Self {
         self.queue_depth = n;
@@ -383,7 +384,7 @@ impl<'a> RuntimeBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics at [`RuntimeBuilder::build`] if two apps share a name
+    /// Panics at [`RuntimeBuilder::build_streaming`] if two apps share a name
     /// (see [`SwitchBuilder::try_register_on`]).
     pub fn register(mut self, app: &'a dyn TaurusApp) -> Self {
         self.apps.push((app, self.backend));
@@ -396,36 +397,25 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Builds the one-shot runtime: one [`taurus_core::TaurusSwitch`]
-    /// per shard, each hosting the full app roster, behind the
-    /// run-at-a-time [`ShardedRuntime`] API.
+    /// Builds the streaming service: one [`taurus_core::TaurusSwitch`]
+    /// per shard, each hosting the full app roster, on resident worker
+    /// threads behind the `feed`/`drain`/`shutdown` lifecycle; see
+    /// [`StreamingRuntime`].
     ///
     /// # Panics
     ///
     /// Panics on any [`BuildError`] (empty roster, duplicate app name,
     /// zero register capacity, more shards than register slots) — see
-    /// [`RuntimeBuilder::try_build`] for the non-panicking form.
-    pub fn build(self) -> ShardedRuntime {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the persistent streaming service directly — resident
-    /// workers, `feed`/`drain`/`shutdown` lifecycle; see
-    /// [`StreamingRuntime`]. ([`RuntimeBuilder::build`] wraps the same
-    /// service in the run-at-a-time [`ShardedRuntime`] API.)
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`BuildError`]; see
-    /// [`RuntimeBuilder::try_build_streaming`].
+    /// [`RuntimeBuilder::try_build_streaming`] for the non-panicking
+    /// form.
     pub fn build_streaming(self) -> StreamingRuntime {
         self.try_build_streaming().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds the runtime, validating the whole configuration up front
-    /// — before any replica, program clone, or thread resource is
-    /// created — and returning a typed [`BuildError`] instead of
-    /// panicking partway through construction.
+    /// The non-panicking form of [`RuntimeBuilder::build_streaming`]:
+    /// validates the whole configuration up front — before any
+    /// replica, program clone, or thread resource is created — then
+    /// builds the replicas and spawns the resident engine workers.
     ///
     /// # Errors
     ///
@@ -437,17 +427,7 @@ impl<'a> RuntimeBuilder<'a> {
     /// - [`BuildError::MoreShardsThanFlowSlots`] if the shard count
     ///   exceeds the per-shard register capacity — slot-based routing
     ///   could never reach the surplus shards.
-    pub fn try_build(self) -> Result<ShardedRuntime, BuildError> {
-        Ok(ShardedRuntime { service: self.try_build_streaming()?, pending_updates: Vec::new() })
-    }
-
-    /// The non-panicking form of [`RuntimeBuilder::build_streaming`]:
-    /// validates, builds the replicas, and spawns the resident engine
-    /// workers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RuntimeBuilder::try_build`].
+    /// - [`BuildError::ZeroQueueDepth`] if the queue depth is zero.
     pub fn try_build_streaming(self) -> Result<StreamingRuntime, BuildError> {
         if self.apps.is_empty() {
             return Err(BuildError::EmptyRoster);
@@ -573,8 +553,7 @@ pub struct RuntimeReport {
     /// Fault accounting since the last drain: worker restarts, batches
     /// dropped while degraded, rollbacks taken, canary verdicts. A run
     /// with no faults reports exactly [`FaultReport::default`], so
-    /// fault-free reports compare bit-identical to pre-fault-era ones
-    /// (`#[serde(default)]`: older serialized reports still load).
+    /// fault-free reports compare bit-identical to pre-fault-era ones.
     #[serde(default, skip_serializing_if = "FaultReport::is_empty")]
     pub faults: FaultReport,
     /// Overload accounting since the last drain: packets shed by
@@ -583,8 +562,7 @@ pub struct RuntimeReport {
     /// [`OverloadReport`]. A run in which the admission layer did
     /// nothing (every [`crate::OverloadPolicy::Block`] run on a clean
     /// trace) reports exactly [`OverloadReport::default`], so such
-    /// reports compare — and serialize — bit-identical to pre-overload
-    /// ones (`#[serde(default)]`: older serialized reports still load).
+    /// reports compare bit-identical to pre-overload ones.
     #[serde(default, skip_serializing_if = "OverloadReport::is_empty")]
     pub overload: OverloadReport,
 }
@@ -645,155 +623,12 @@ impl RuntimeReport {
     }
 }
 
-/// A sharded, batched multi-core host for [`taurus_core::TaurusSwitch`]
-/// replicas, exposed run-at-a-time.
-///
-/// Since the streaming refactor this is a thin wrapper over the
-/// resident [`StreamingRuntime`]: `run_packets` = rebase the scheduled
-/// updates onto the global stream, `feed`, `drain`. The engine workers
-/// are spawned once at build and stay resident across runs — successive
-/// runs spawn no engine threads and (past the first) allocate no batch
-/// memory.
-///
-/// Flow state is long-lived: like a [`taurus_core::TaurusSwitch`],
-/// successive runs accumulate registers, flow-start bookkeeping, and
-/// counters; call [`ShardedRuntime::reset`] between independent
-/// experiments.
-pub struct ShardedRuntime {
-    service: StreamingRuntime,
-    /// Updates scheduled for the next run, with **run-relative** packet
-    /// indices; `run_packets` rebases them onto the global stream
-    /// position at the moment the run starts. Sorted by install index
-    /// (stable for equal indices: scheduling order is install order).
-    pending_updates: Vec<(u64, Arc<ModelUpdate>)>,
-}
-
-impl ShardedRuntime {
-    /// Number of shards (switch replicas / worker threads).
-    pub fn shard_count(&self) -> usize {
-        self.service.shard_count()
-    }
-
-    /// Packets per ingest batch.
-    pub fn batch_size(&self) -> usize {
-        self.service.batch_size()
-    }
-
-    /// Parse workers per run (`0` = inline single-thread ingest); see
-    /// [`RuntimeBuilder::parse_workers`].
-    pub fn parse_worker_count(&self) -> usize {
-        self.service.parse_worker_count()
-    }
-
-    /// Packets per pipeline epoch; see [`RuntimeBuilder::epoch_len`].
-    pub fn epoch_len(&self) -> usize {
-        self.service.epoch_len()
-    }
-
-    /// Installs a model update on every shard *now* (between runs).
-    /// Replicas are identical by construction, so validation on the
-    /// first shard decides for all of them: an error returns before any
-    /// replica was touched, keeping the fleet consistent.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamingRuntime::install_update`].
-    pub fn install_update(&mut self, update: &ModelUpdate) -> Result<(), InstallError> {
-        self.service.install_update(update)
-    }
-
-    /// Schedules a live update for the next run: it is applied on
-    /// **every shard at global packet index `at_packet`** of that run —
-    /// packets with index < `at_packet` are decided by the old model,
-    /// packets with index ≥ `at_packet` by the new one, exactly as if a
-    /// sequential [`TaurusSwitch`] had had the update installed between
-    /// those two packets. Ingest realizes the barrier by flushing every
-    /// staged partial batch and then enqueuing the update in-band on
-    /// each shard's FIFO channel; no worker ever pauses.
-    ///
-    /// Indices at or beyond the run's length install after the last
-    /// packet (the update still lands; it just decided nothing).
-    /// Invalid updates (unknown app, stale version, wrong backend)
-    /// surface as a worker panic during the run — scheduling itself
-    /// cannot check them against the future run.
-    pub fn schedule_update(&mut self, at_packet: u64, update: ModelUpdate) {
-        self.pending_updates.push((at_packet, Arc::new(update)));
-        self.pending_updates.sort_by_key(|&(at, _)| at);
-    }
-
-    /// Updates scheduled for the next run (install index, app, version).
-    pub fn scheduled_updates(&self) -> Vec<(u64, String, u64)> {
-        self.pending_updates.iter().map(|(at, u)| (*at, u.app.clone(), u.version)).collect()
-    }
-
-    /// Installed model versions per app (registration order). All
-    /// shards agree by construction — updates apply to every shard at
-    /// the same boundary.
-    pub fn app_versions(&self) -> Vec<(String, u64)> {
-        self.service.app_versions()
-    }
-
-    /// Runs a whole trace through the runtime; see
-    /// [`ShardedRuntime::run_packets`].
-    pub fn run_trace(&mut self, trace: &PacketTrace) -> RuntimeReport {
-        self.run_packets(&trace.packets)
-    }
-
-    /// Drives a packet stream through the sharded data plane: ingest
-    /// (observations, shared cross-flow windows, flow-consistent
-    /// routing, batching) runs either inline on the calling thread or —
-    /// with `parse_workers > 0` — as the parallel epoch pipeline
-    /// ([`crate::pipeline`]); one worker thread per shard executes its
-    /// replica, and the per-shard reports are merged. Both ingest modes
-    /// produce bit-identical reports.
-    ///
-    /// Updates scheduled via [`ShardedRuntime::schedule_update`] are
-    /// consumed by this run and applied in-band at their global packet
-    /// index (on every shard, at a batch boundary the flush creates).
-    ///
-    /// Packets must be in arrival order (as [`PacketTrace`] guarantees).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scheduled update fails to install on a shard
-    /// (unknown app, stale version, backend mismatch) — by then some
-    /// replicas may already run the new model, and a half-updated fleet
-    /// must not keep serving.
-    pub fn run_packets(&mut self, packets: &[TracePacket]) -> RuntimeReport {
-        // Rebase the run-relative schedule onto the global stream: index
-        // k of this run is stream index position + k.
-        let base = self.service.stream_position();
-        for (at, update) in std::mem::take(&mut self.pending_updates) {
-            self.service.schedule_update_shared(base.saturating_add(at), update);
-        }
-        self.service.feed(packets);
-        self.service.drain()
-    }
-
-    /// Clears every replica's flow state and counters plus the shared
-    /// ingest state. Installed models (and their versions) survive:
-    /// reset separates experiment phases, it does not roll back
-    /// deployments. Updates scheduled for the next run also survive.
-    pub fn reset(&mut self) {
-        self.service.reset();
-    }
-}
-
-impl core::fmt::Debug for ShardedRuntime {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShardedRuntime")
-            .field("service", &self.service)
-            .field("pending_updates", &self.pending_updates.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use taurus_core::apps::SynFloodDetector;
     use taurus_dataset::kdd::KddGenerator;
-    use taurus_dataset::trace::TraceConfig;
+    use taurus_dataset::trace::{PacketTrace, TraceConfig};
 
     fn trace(n: usize, seed: u64) -> PacketTrace {
         let records = KddGenerator::new(seed).take(n);
@@ -840,7 +675,7 @@ mod tests {
             .shards(4)
             .batch_size(16)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&t);
         assert_eq!(report.merged.packets, t.packets.len() as u64);
         let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
@@ -876,8 +711,10 @@ mod tests {
     fn reset_restores_a_fresh_runtime() {
         let syn = SynFloodDetector::default_deployment();
         let t = trace(80, 33);
-        let mut rt =
-            RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
+        let mut rt = RuntimeBuilder::new()
+            .shards(2)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build_streaming();
         let first = rt.run_trace(&t);
         rt.reset();
         let second = rt.run_trace(&t);
@@ -892,7 +729,7 @@ mod tests {
             .shards(4)
             .backend(EngineBackend::Threshold)
             .register(&syn)
-            .build();
+            .build_streaming();
         let first = rt.run_trace(&t);
         // Second run WITHOUT reset: replica reports accumulate, but
         // routing stats — and the metrics derived from them — are
@@ -930,7 +767,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one TaurusApp")]
     fn build_without_apps_panics() {
-        let _ = RuntimeBuilder::new().shards(2).build();
+        let _ = RuntimeBuilder::new().shards(2).build_streaming();
     }
 
     #[test]
@@ -944,7 +781,7 @@ mod tests {
             let mut rt = RuntimeBuilder::new()
                 .shards(shards)
                 .register_on(&syn, EngineBackend::Threshold)
-                .build();
+                .build_streaming();
             let report = rt.run_trace(&t);
             assert_eq!(report.merged.packets, t.packets.len() as u64);
         }
@@ -957,7 +794,7 @@ mod tests {
             .shards(8)
             .shard_flow_slots(4) // 8 shards cannot share 4 route slots
             .register_on(&syn, EngineBackend::Threshold)
-            .try_build()
+            .try_build_streaming()
             .expect_err("impossible geometry must be rejected");
         assert_eq!(err, BuildError::MoreShardsThanFlowSlots { shards: 8, flow_slots: 4 });
         assert!(err.to_string().contains("exceeds the 4 per-flow register slots"), "{err}");
@@ -966,7 +803,7 @@ mod tests {
             .shards(4)
             .shard_flow_slots(4)
             .register_on(&syn, EngineBackend::Threshold)
-            .try_build()
+            .try_build_streaming()
             .expect("shards == flow_slots is the legal extreme");
         assert_eq!(rt.shard_count(), 4);
     }
@@ -980,7 +817,7 @@ mod tests {
             .shard_flow_slots(2048) // smaller replicas: approximate sharding
             .backend(EngineBackend::Threshold)
             .register(&syn)
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&t);
         assert_eq!(report.merged.packets, t.packets.len() as u64);
     }
@@ -993,14 +830,14 @@ mod tests {
         let _ = RuntimeBuilder::new()
             .register_on(&a, EngineBackend::Threshold)
             .register_on(&b, EngineBackend::Threshold)
-            .build();
+            .build_streaming();
     }
 
     #[test]
     fn try_build_reports_duplicates_before_any_replica_exists() {
         // Regression: duplicates used to explode as a panic deep inside
         // replica construction (SwitchBuilder::register_on, once per
-        // shard); try_build validates the roster up front and returns a
+        // shard); try_build_streaming validates the roster up front and returns a
         // typed error instead.
         let a = SynFloodDetector::default_deployment();
         let b = SynFloodDetector::new(9); // different config, same name
@@ -1008,7 +845,7 @@ mod tests {
             .shards(4)
             .register_on(&a, EngineBackend::Threshold)
             .register_on(&b, EngineBackend::Threshold)
-            .try_build()
+            .try_build_streaming()
             .expect_err("duplicate roster must be rejected");
         let BuildError::DuplicateApp(ref dup) = err else {
             panic!("expected DuplicateApp, got {err:?}");
@@ -1020,7 +857,7 @@ mod tests {
         let rt = RuntimeBuilder::new()
             .shards(2)
             .register_on(&a, EngineBackend::Threshold)
-            .try_build()
+            .try_build_streaming()
             .expect("unique roster builds");
         assert_eq!(rt.shard_count(), 2);
     }
@@ -1029,8 +866,10 @@ mod tests {
     fn runs_without_updates_report_one_whole_run_segment() {
         let syn = SynFloodDetector::default_deployment();
         let t = trace(120, 36);
-        let mut rt =
-            RuntimeBuilder::new().shards(4).register_on(&syn, EngineBackend::Threshold).build();
+        let mut rt = RuntimeBuilder::new()
+            .shards(4)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build_streaming();
         let report = rt.run_trace(&t);
         assert_eq!(report.segments.len(), 1, "no updates: one segment");
         assert_eq!(report.segments[0].total(), t.packets.len() as u64);
@@ -1048,9 +887,12 @@ mod tests {
             .shards(2)
             .batch_size(16)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
+            .build_streaming();
         // An absurdly high cutoff: the second segment can never drop.
-        rt.schedule_update(k, syn.retune(i64::MAX - 1, 1, EngineBackend::Threshold));
+        rt.schedule_update(
+            rt.stream_position() + k,
+            syn.retune(i64::MAX - 1, 1, EngineBackend::Threshold),
+        );
         assert_eq!(rt.scheduled_updates(), vec![(k, "syn-flood".to_string(), 1)]);
         let report = rt.run_trace(&t);
         assert!(rt.scheduled_updates().is_empty(), "consumed by the run");
@@ -1065,8 +907,10 @@ mod tests {
     fn updates_scheduled_past_the_stream_end_still_install() {
         let syn = SynFloodDetector::default_deployment();
         let t = trace(40, 38);
-        let mut rt =
-            RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
+        let mut rt = RuntimeBuilder::new()
+            .shards(2)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build_streaming();
         rt.schedule_update(u64::MAX, syn.retune(50, 1, EngineBackend::Threshold));
         let report = rt.run_trace(&t);
         assert_eq!(report.segments.len(), 2);
@@ -1085,7 +929,7 @@ mod tests {
                 .parse_workers(workers)
                 .epoch_len(epoch_len)
                 .register_on(&syn, EngineBackend::Threshold)
-                .build()
+                .build_streaming()
         };
         let golden = build(0, 512).run_trace(&t);
         for (workers, epoch_len) in [(1, 64), (2, 64), (3, 7), (2, 1), (2, 100_000)] {
@@ -1110,7 +954,7 @@ mod tests {
             .shards(2)
             .queue_depth(0)
             .register_on(&syn, EngineBackend::Threshold)
-            .try_build()
+            .try_build_streaming()
             .expect_err("zero-depth lanes must be rejected");
         assert_eq!(err, BuildError::ZeroQueueDepth);
         assert!(err.to_string().contains("queue_depth must be positive"), "{err}");
@@ -1123,7 +967,7 @@ mod tests {
         let _ = RuntimeBuilder::new()
             .queue_depth(0)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
+            .build_streaming();
     }
 
     #[test]
@@ -1148,8 +992,10 @@ mod tests {
     #[test]
     fn immediate_install_rejects_stale_versions_fleet_wide() {
         let syn = SynFloodDetector::default_deployment();
-        let mut rt =
-            RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
+        let mut rt = RuntimeBuilder::new()
+            .shards(2)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build_streaming();
         rt.install_update(&syn.retune(45, 3, EngineBackend::Threshold)).expect("fresh version");
         assert_eq!(rt.app_versions(), vec![("syn-flood".to_string(), 3)]);
         let err = rt

@@ -1,22 +1,18 @@
 //! The long-lived streaming service: resident engine workers behind a
-//! push-style ingest API.
-//!
-//! [`crate::runtime::ShardedRuntime::run_packets`] models one replayed
-//! trace; the paper's device serves traffic *indefinitely*. This module
-//! promotes the same sharded machinery to a persistent service:
+//! push-style ingest API. The paper's device serves traffic
+//! *indefinitely*; this is the runtime's one host for it:
 //!
 //! - **Resident engine workers.** One OS thread per shard is spawned at
 //!   construction, *owns* its [`TaurusSwitch`] replica, and stays alive
-//!   across feeds — the per-run thread spawn/join (and its allocations)
-//!   disappears from the steady state.
+//!   across feeds — no thread spawn/join (and no allocation) in the
+//!   steady state.
 //! - **Push-style ingest.** [`StreamingRuntime::feed`] pushes a slice
-//!   of the stream through the existing ingest machinery — inline or
-//!   the parallel epoch pipeline — with the same bounded-SPSC
-//!   backpressure and the same `Steering` flush discipline. Partial
+//!   of the stream through the ingest pipeline ([`crate::pipeline`]) —
+//!   parsed on the calling thread, or on parse workers scoped to the
+//!   feed (they borrow the fed slice, which a resident thread could
+//!   not) — with bounded-SPSC backpressure toward the engines. Partial
 //!   batches are flushed at every feed boundary, so the engines observe
-//!   each feed completely. (Parse workers for the pipelined mode are
-//!   still scoped to the feed: they borrow the fed slice, which a
-//!   resident thread could not.)
+//!   each feed completely.
 //! - **Asynchronous updates.** [`StreamingRuntime::schedule_update`]
 //!   keys on the *global stream index* (monotone across feeds) and is
 //!   applied in-band at exactly that barrier;
@@ -25,8 +21,7 @@
 //! - **Deterministic drain.** [`StreamingRuntime::drain`] installs any
 //!   still-pending updates, flushes every staged partial batch, and
 //!   barriers on every worker for a snapshot: the merged
-//!   [`RuntimeReport`] is bit-identical to a one-shot
-//!   [`crate::runtime::ShardedRuntime::run_packets`] over the
+//!   [`RuntimeReport`] is bit-identical to one feed of the
 //!   concatenation of all feeds since the last drain (batch counts
 //!   aside — feed boundaries flush partial batches early).
 //!   [`StreamingRuntime::shutdown`] is drain + worker join.
@@ -43,17 +38,15 @@
 //! the poisoned state and the service keeps serving.
 
 use std::any::Any;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use taurus_core::ingest::{
-    flow_start_flags_ok, to_packet_into, wire_obs, IngestValidator, ObsBuilder,
-};
+use taurus_core::ingest::ObsBuilder;
 use taurus_core::{ModelUpdate, RollbackPoint, SwitchReport, TaurusSwitch, UpdateError};
 use taurus_dataset::trace::{PacketTrace, TracePacket};
 use taurus_ml::BinaryMetrics;
-use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{CrossFlowWindows, FlowTable, Verdict};
 
 use crate::fault::{
@@ -64,7 +57,7 @@ use crate::overload::{OverloadPolicy, OverloadState};
 use crate::pipeline::epoch::EpochBatch;
 use crate::pipeline::steer::{Batch, ShardMsg, SteerState, Steering};
 use crate::pipeline::{self, PipelineRun};
-use crate::runtime::{shard_of, RuntimeReport, ShardStats};
+use crate::runtime::{RuntimeReport, ShardStats};
 use crate::spsc;
 
 /// One worker's per-run state at a drain barrier.
@@ -293,10 +286,11 @@ fn spawn_worker(
 /// engine workers, push-style feeds, asynchronous model updates, and a
 /// deterministic drain/shutdown.
 ///
-/// Built by [`crate::runtime::RuntimeBuilder::build_streaming`]. The
-/// one-shot [`crate::runtime::ShardedRuntime`] is now a thin wrapper
-/// over this type (`run_packets` = `feed` + `drain`), so both share one
-/// execution path and one set of exactness guarantees.
+/// Built by [`crate::runtime::RuntimeBuilder::build_streaming`]. Ingest
+/// runs [`crate::pipeline`] on every feed: with zero parse workers the
+/// calling thread parses each epoch itself, otherwise scoped parse
+/// workers do, and either way one merge stage steers the packets — so
+/// every parse-worker count yields the same stream.
 ///
 /// ```
 /// use taurus_core::apps::SynFloodDetector;
@@ -348,8 +342,11 @@ pub struct StreamingRuntime {
     /// Cross-feed pool of steer→engine batch arenas, provisioned once
     /// at construction so steady-state feeds allocate no batch memory.
     batch_pool: Vec<Batch>,
-    /// Cross-feed pool of epoch arenas (pipelined ingest only).
+    /// Cross-feed pool of epoch arenas.
     epoch_pool: Vec<EpochBatch>,
+    /// The epoch-local candidate set the calling thread parses with
+    /// when there are no parse workers, sized to `epoch_len` once.
+    epoch_seen: HashSet<u32>,
     /// Updates awaiting their global stream index, sorted by it (stable
     /// for equal indices: scheduling order is install order).
     pending: Vec<(u64, Arc<ModelUpdate>)>,
@@ -477,6 +474,7 @@ impl StreamingRuntime {
             steer,
             batch_pool,
             epoch_pool: Vec::new(),
+            epoch_seen: HashSet::with_capacity(if parse_workers == 0 { epoch_len } else { 0 }),
             pending: Vec::new(),
             position: 0,
             versions,
@@ -500,19 +498,21 @@ impl StreamingRuntime {
         self.batch_size
     }
 
-    /// Parse workers per feed (`0` = inline single-thread ingest).
+    /// Parse workers per feed (`0` = the calling thread parses).
     pub fn parse_worker_count(&self) -> usize {
         self.parse_workers
     }
 
-    /// Packets per pipeline epoch (pipelined ingest only).
+    /// Packets per ingest epoch.
     pub fn epoch_len(&self) -> usize {
         self.epoch_len
     }
 
-    /// Global stream position: packets accepted across all feeds since
-    /// construction (monotone — [`StreamingRuntime::reset`] clears flow
-    /// state, not the stream clock).
+    /// Global stream position: packets fed since construction. A feed
+    /// advances the clock by its length, whatever became of its packets
+    /// (quarantined, shed, or cut off by a dead shard) and whatever the
+    /// parse-worker count. Monotone — [`StreamingRuntime::reset`] clears
+    /// flow state, not the stream clock.
     pub fn stream_position(&self) -> u64 {
         self.position
     }
@@ -523,12 +523,12 @@ impl StreamingRuntime {
         self.overload.policy()
     }
 
-    /// Pushes a slice of the stream through the resident service:
-    /// observations, the shared cross-flow windows, flow-consistent
-    /// routing, and batching run on the calling thread (or, with
-    /// `parse_workers > 0`, on the scoped epoch pipeline), while the
-    /// resident engine workers consume over the bounded SPSC lanes —
-    /// the lanes' backpressure is the feed's backpressure. Partial
+    /// Pushes a slice of the stream through the resident service: the
+    /// ingest pipeline parses it (on the calling thread, or on
+    /// `parse_workers` scoped workers), merges observations and the
+    /// shared cross-flow windows in arrival order, routes and batches,
+    /// while the resident engine workers consume over the bounded SPSC
+    /// lanes — the lanes' backpressure is the feed's backpressure. Partial
     /// batches are flushed before returning, so the engines observe
     /// the whole feed without waiting for the next one.
     ///
@@ -536,135 +536,31 @@ impl StreamingRuntime {
     /// across feeds (the stream is one logical trace). Returns the
     /// number of scheduled updates consumed by this feed.
     pub fn feed(&mut self, packets: &[TracePacket]) -> usize {
-        let shards = self.shards;
-        let batch_size = self.batch_size;
-        let parse_workers = self.parse_workers;
-        let epoch_len = self.epoch_len;
-        let route_slots = self.route_slots;
         // Take the pending list so ingest can borrow it immutably next
-        // to the mutable split borrows below; moved back (minus the
+        // to the mutable field borrows below; moved back (minus the
         // consumed prefix) afterwards — no allocation either way.
         let mut updates = std::mem::take(&mut self.pending);
-        let consumed;
-        {
-            // Split borrows: ingest owns the order-bound state and the
-            // lane ends; `self.versions`/`self.pending` stay free.
-            let Self {
-                senders,
-                recycle,
-                steer,
-                batch_pool,
-                epoch_pool,
-                obs_builder,
-                windows,
-                directory,
-                overload,
-                position,
-                ..
-            } = self;
-            // The ingest frontier is scoped to the feed: a feed is the
-            // replay unit, and operators legitimately re-feed a capture
-            // whose timestamps restart.
-            let mut validator = IngestValidator::new();
-            if parse_workers == 0 {
-                // Inline ingest: everything order-sensitive on the
-                // calling thread, steered through the shared staging
-                // machinery (`pipeline::steer::Steering`).
-                let mut steer =
-                    Steering::new(steer, batch_size, batch_pool, recycle, senders, overload);
-                let mut next_update = 0usize;
-                'ingest: for tp in packets.iter() {
-                    let index = *position;
-                    // `<=`: an update whose index an earlier feed
-                    // already passed installs before this packet
-                    // rather than never.
-                    while next_update < updates.len() && updates[next_update].0 <= index {
-                        if steer.flush_and_update(&updates[next_update].1).is_err() {
-                            break 'ingest;
-                        }
-                        next_update += 1;
-                    }
-                    // Quarantine before any stateful ingest: a refused
-                    // packet costs one counter and still occupies its
-                    // global stream index.
-                    if let Err(err) = validator.admit(tp) {
-                        steer.overload().record_quarantine(err);
-                        *position += 1;
-                        continue 'ingest;
-                    }
-                    // Order-free half first: the admission decision
-                    // needs the home shard, but must not touch the
-                    // seen-set, directory, or windows for a packet the
-                    // policy then bypasses.
-                    let mut obs = PacketObs::default();
-                    wire_obs(tp, &mut obs);
-                    let shard = shard_of(obs.flow_key, route_slots, shards);
-                    if steer.overload().saturated(shard, index) {
-                        steer.overload().record_bypass(shard, obs.flow_key, tp.anomalous);
-                        *position += 1;
-                        continue 'ingest;
-                    }
-                    obs.is_flow_start =
-                        obs_builder.mark_seen(tp.conn_id) && flow_start_flags_ok(tp);
-                    if let Some(dir) = directory.as_mut() {
-                        // Keyed mode: the directory access *is* the
-                        // flow-start decision — a miss (or an eviction
-                        // reopening the slot) starts a flow.
-                        let (_, access) = dir.access(obs.flow_key, obs.ts_ns);
-                        obs.is_flow_start = access.is_start();
-                    }
-                    let (dst_count, srv_count) = windows.observe(&obs);
-                    // Rewrite a recycled slot in place.
-                    let slot = steer.slot(shard);
-                    to_packet_into(tp, &mut slot.pkt);
-                    slot.obs = obs;
-                    slot.dst_count = dst_count;
-                    slot.srv_count = srv_count;
-                    slot.anomalous = tp.anomalous;
-                    slot.index = index;
-                    *position += 1;
-                    if !steer.commit(shard) {
-                        break 'ingest;
-                    }
-                }
-                // A dead shard here is diagnosed (and possibly
-                // recovered) at the next drain barrier, not mid-feed.
-                let _ = steer.flush_partials();
-                consumed = next_update;
-            } else {
-                // Pipelined ingest: N scoped parse workers slice the
-                // feed into epochs; the merge stage (this thread)
-                // reassembles them in index order and steers onto the
-                // resident engine lanes — bit-identical to inline.
-                let stream_base = *position;
-                consumed = std::thread::scope(|scope| {
-                    pipeline::run(
-                        scope,
-                        PipelineRun {
-                            packets,
-                            stream_base,
-                            workers: parse_workers,
-                            epoch_len,
-                            route_slots,
-                            shards,
-                            batch_size,
-                            updates: &updates,
-                            seen: obs_builder,
-                            windows,
-                            directory,
-                            validator: &mut validator,
-                            overload,
-                            steer,
-                            batch_pool,
-                            epoch_pool,
-                            recycle,
-                            senders,
-                        },
-                    )
-                });
-                *position += packets.len() as u64;
-            }
-        }
+        let consumed = pipeline::run(PipelineRun {
+            packets,
+            stream_base: self.position,
+            workers: self.parse_workers,
+            epoch_len: self.epoch_len,
+            route_slots: self.route_slots,
+            shards: self.shards,
+            batch_size: self.batch_size,
+            updates: &updates,
+            seen: &mut self.obs_builder,
+            windows: &mut self.windows,
+            directory: &mut self.directory,
+            overload: &mut self.overload,
+            steer: &mut self.steer,
+            batch_pool: &mut self.batch_pool,
+            epoch_pool: &mut self.epoch_pool,
+            epoch_seen: &mut self.epoch_seen,
+            recycle: &self.recycle,
+            senders: &self.senders,
+        });
+        self.position += packets.len() as u64;
         for (_, update) in updates.drain(..consumed) {
             self.note_installed(&update);
         }
@@ -674,9 +570,9 @@ impl StreamingRuntime {
 
     /// Drains the service deterministically: installs every update
     /// still pending (they were scheduled for this stream, and the
-    /// stream is ending — matching `run_packets`' end-of-run
-    /// semantics), flushes every staged partial batch, then barriers on
-    /// all workers for their snapshots and assembles the merged report.
+    /// stream is ending), flushes every staged partial batch, then
+    /// barriers on all workers for their snapshots and assembles the
+    /// merged report.
     /// Per-run statistics ([`ShardStats::packets`]/`batches`, the
     /// segment confusions) restart after a drain; replica reports and
     /// flow state persist.
@@ -692,8 +588,7 @@ impl StreamingRuntime {
     /// merges, the worker is respawned from a rehydrated spare, and
     /// [`RuntimeReport::faults`] records what happened.
     pub fn drain(&mut self) -> RuntimeReport {
-        // Leftover updates land after the last fed packet, exactly like
-        // the old end-of-run handling.
+        // Leftover updates land after the last fed packet.
         let updates = std::mem::take(&mut self.pending);
         let batch_size = self.batch_size;
         let mut installed = 0usize;
@@ -914,8 +809,7 @@ impl StreamingRuntime {
         report
     }
 
-    /// Feeds a whole trace and drains — the streaming spelling of
-    /// [`crate::runtime::ShardedRuntime::run_trace`].
+    /// Feeds a whole trace and drains.
     pub fn run_trace(&mut self, trace: &PacketTrace) -> RuntimeReport {
         self.feed(&trace.packets);
         self.drain()
@@ -1001,11 +895,7 @@ impl StreamingRuntime {
     /// surface as a re-raised panic at the next drain — scheduling
     /// cannot check them against the future stream.
     pub fn schedule_update(&mut self, at_stream_index: u64, update: ModelUpdate) {
-        self.schedule_update_shared(at_stream_index, Arc::new(update));
-    }
-
-    pub(crate) fn schedule_update_shared(&mut self, at: u64, update: Arc<ModelUpdate>) {
-        self.pending.push((at, update));
+        self.pending.push((at_stream_index, Arc::new(update)));
         self.pending.sort_by_key(|&(at, _)| at);
     }
 
@@ -1047,6 +937,34 @@ impl StreamingRuntime {
     /// every shard's *current* segment isolates probation traffic.
     /// Conclude with [`StreamingRuntime::conclude_canary`] before the
     /// next drain.
+    ///
+    /// ```
+    /// use taurus_core::apps::SynFloodDetector;
+    /// use taurus_core::EngineBackend;
+    /// use taurus_dataset::kdd::KddGenerator;
+    /// use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    /// use taurus_runtime::{CanaryDecision, CanaryGuardrails, RuntimeBuilder};
+    ///
+    /// let syn = SynFloodDetector::default_deployment();
+    /// let mut service = RuntimeBuilder::new()
+    ///     .shards(2)
+    ///     .register_on(&syn, EngineBackend::Threshold)
+    ///     .build_streaming();
+    /// let records = KddGenerator::new(7).take(120);
+    /// let trace = PacketTrace::expand(records, &TraceConfig::default());
+    ///
+    /// // Guardrails sized for a short probation: the canary shard sees
+    /// // different flows than the control shard, so even an identical
+    /// // model shows slice-to-slice metric noise.
+    /// let guardrails =
+    ///     CanaryGuardrails { max_f1_drop: 30.0, max_positive_rate_delta: 0.3, min_samples: 50 };
+    /// // The incumbent's own cutoff: expected to promote.
+    /// let candidate = syn.retune(40, 1, EngineBackend::Threshold);
+    /// service.begin_canary(&candidate, 1).expect("fresh rollout");
+    /// service.feed(&trace.packets); // probation traffic
+    /// let verdict = service.conclude_canary(&guardrails).expect("rollout concludes");
+    /// assert_eq!(verdict.decision, CanaryDecision::Promote);
+    /// ```
     ///
     /// # Errors
     ///
@@ -1294,99 +1212,5 @@ fn panic_detail(payload: &(dyn Any + Send)) -> String {
         s.clone()
     } else {
         "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// Configuration for a [`CanaryController`]: how many shards canary
-/// the candidate and which guardrails decide promotion.
-#[derive(Debug, Clone)]
-pub struct CanaryConfig {
-    /// Shards that run the candidate during probation (clamped to
-    /// `1..=shards`; they are taken from the *end* of the shard range
-    /// so shard 0 always anchors the control group).
-    pub canary_shards: usize,
-    /// Promotion guardrails (see [`canary_decision`]).
-    pub guardrails: CanaryGuardrails,
-}
-
-impl Default for CanaryConfig {
-    fn default() -> Self {
-        Self { canary_shards: 1, guardrails: CanaryGuardrails::default() }
-    }
-}
-
-/// Drives canaried rollouts against a [`StreamingRuntime`] with one
-/// fixed policy: [`CanaryController::begin`] stages the candidate on
-/// the canary subset, the caller feeds the probation traffic, and
-/// [`CanaryController::conclude`] promotes or rolls back under the
-/// configured guardrails.
-///
-/// ```
-/// use taurus_core::apps::SynFloodDetector;
-/// use taurus_core::EngineBackend;
-/// use taurus_dataset::kdd::KddGenerator;
-/// use taurus_dataset::trace::{PacketTrace, TraceConfig};
-/// use taurus_runtime::{
-///     CanaryConfig, CanaryController, CanaryDecision, CanaryGuardrails, RuntimeBuilder,
-/// };
-///
-/// let syn = SynFloodDetector::default_deployment();
-/// let mut service = RuntimeBuilder::new()
-///     .shards(2)
-///     .register_on(&syn, EngineBackend::Threshold)
-///     .build_streaming();
-/// let records = KddGenerator::new(7).take(120);
-/// let trace = PacketTrace::expand(records, &TraceConfig::default());
-///
-/// // Guardrails sized for a short probation: the canary shard sees
-/// // different flows than the control shard, so even an identical
-/// // model shows slice-to-slice metric noise.
-/// let controller = CanaryController::new(CanaryConfig {
-///     canary_shards: 1,
-///     guardrails: CanaryGuardrails {
-///         max_f1_drop: 30.0,
-///         max_positive_rate_delta: 0.3,
-///         min_samples: 50,
-///     },
-/// });
-/// // The incumbent's own cutoff: expected to promote.
-/// let candidate = syn.retune(40, 1, EngineBackend::Threshold);
-/// controller.begin(&mut service, &candidate).expect("fresh rollout");
-/// service.feed(&trace.packets); // probation traffic
-/// let verdict = controller.conclude(&mut service).expect("rollout concludes");
-/// assert_eq!(verdict.decision, CanaryDecision::Promote);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CanaryController {
-    config: CanaryConfig,
-}
-
-impl CanaryController {
-    /// A controller with the given policy.
-    pub fn new(config: CanaryConfig) -> Self {
-        Self { config }
-    }
-
-    /// The controller's policy.
-    pub fn config(&self) -> &CanaryConfig {
-        &self.config
-    }
-
-    /// Starts a rollout — see [`StreamingRuntime::begin_canary`].
-    pub fn begin(
-        &self,
-        service: &mut StreamingRuntime,
-        update: &ModelUpdate,
-    ) -> Result<(), InstallError> {
-        service.begin_canary(update, self.config.canary_shards)
-    }
-
-    /// Ends probation and decides — see
-    /// [`StreamingRuntime::conclude_canary`].
-    pub fn conclude(
-        &self,
-        service: &mut StreamingRuntime,
-    ) -> Result<CanaryVerdictRecord, InstallError> {
-        service.conclude_canary(&self.config.guardrails)
     }
 }

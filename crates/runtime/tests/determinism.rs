@@ -50,7 +50,7 @@ fn sharded_equals_sequential_for_all_shard_counts_cgra() {
             .batch_size(32)
             .register(&detector)
             .register(&syn)
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&trace);
         assert_eq!(
             report.merged, golden,
@@ -92,7 +92,7 @@ fn sharded_equals_sequential_on_threshold_backend_large_trace() {
             .backend(EngineBackend::Threshold)
             .register(&detector)
             .register(&syn)
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&trace);
         assert_eq!(
             report.merged, golden,
@@ -131,7 +131,7 @@ fn non_dividing_shard_counts_and_parse_workers_stay_exact() {
                 .backend(EngineBackend::Threshold)
                 .register(&detector)
                 .register(&syn)
-                .build();
+                .build_streaming();
             let report = rt.run_trace(&trace);
             assert_eq!(
                 report.merged, golden,
@@ -166,7 +166,7 @@ fn pipelined_cgra_roster_matches_sequential() {
             .epoch_len(64)
             .register(&detector)
             .register(&syn)
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&trace);
         assert_eq!(
             report.merged, golden,
@@ -215,8 +215,9 @@ fn idle_gap_traces_stay_exact_across_ingest_modes() {
                 .parse_workers(parse_workers)
                 .epoch_len(48)
                 .register_on(&syn, EngineBackend::Threshold)
-                .build();
-            let report = rt.run_packets(&packets);
+                .build_streaming();
+            rt.feed(&packets);
+            let report = rt.drain();
             assert_eq!(
                 report.merged, golden,
                 "gap={gap_mult}x window diverged at shards={shards} workers={parse_workers}"
@@ -271,7 +272,7 @@ fn observe_only_apps_report_identically_when_sharded() {
             .shards(shards)
             .backend(EngineBackend::Threshold)
             .register(&observer)
-            .build();
+            .build_streaming();
         assert_eq!(rt.run_trace(&trace).merged, golden);
     }
 }

@@ -234,3 +234,32 @@ fn a_stalled_shard_trips_the_watchdog_and_is_replaced() {
     let control = drain_report(&mut twin, &validation);
     assert_eq!(after, control, "the replacement is a full citizen");
 }
+
+#[test]
+fn a_feed_advances_the_stream_clock_by_its_length_after_a_shard_is_lost() {
+    // Fault plans and scheduled updates key on the stream index, so the
+    // clock must not depend on the parse-worker count. Two panicking
+    // shards against one spare leave a shard lost; the next feed stops
+    // steering at the dead lane, yet still advances the clock by its
+    // full length in every ingest mode.
+    let syn = SynFloodDetector::default_deployment();
+    let trace = kdd_trace(200, 80);
+    for workers in [0usize, 2] {
+        let mut service = builder(&syn, SHARDS)
+            .parse_workers(workers)
+            .spare_replicas(1)
+            .fault_plan(FaultPlan::new().engine_panic(1, 0).engine_panic(2, 0))
+            .build_streaming();
+        let report = drain_report(&mut service, &trace);
+        let lost =
+            report.faults.records.iter().filter(|r| r.kind == FaultRecordKind::ShardLost).count();
+        assert_eq!(lost, 1, "workers={workers}: one spare for two faulted shards");
+        let before = service.stream_position();
+        service.feed(&trace.packets);
+        assert_eq!(
+            service.stream_position() - before,
+            trace.packets.len() as u64,
+            "workers={workers}: a feed advances the clock by its length"
+        );
+    }
+}

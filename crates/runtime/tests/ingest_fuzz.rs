@@ -87,8 +87,9 @@ fn run(
         .parse_workers(parse_workers)
         .epoch_len(48)
         .register_on(syn, EngineBackend::Threshold)
-        .build();
-    rt.run_packets(packets)
+        .build_streaming();
+    rt.feed(packets);
+    rt.drain()
 }
 
 proptest! {

@@ -63,7 +63,7 @@ fn keyed_sharded_equals_keyed_sequential_for_all_geometries() {
                 .epoch_len(48)
                 .config(config.clone())
                 .register_on(&syn, EngineBackend::Threshold)
-                .build();
+                .build_streaming();
             let report = rt.run_trace(&trace);
             assert_eq!(
                 report.merged, golden,
@@ -138,7 +138,7 @@ fn keyed_reset_restores_a_fresh_runtime() {
         .shards(3)
         .config(keyed_config(32, 2))
         .register_on(&syn, EngineBackend::Threshold)
-        .build();
+        .build_streaming();
     let first = rt.run_trace(&trace);
     assert!(first.merged.flow_occupancy > 0);
     rt.reset();
@@ -153,7 +153,7 @@ fn keyed_zero_geometry_is_a_typed_build_error() {
         let err = RuntimeBuilder::new()
             .config(keyed_config(buckets, ways))
             .register_on(&syn, EngineBackend::Threshold)
-            .try_build()
+            .try_build_streaming()
             .expect_err("a zero-capacity keyed table must be rejected");
         assert_eq!(err, taurus_runtime::BuildError::NoFlowSlots, "{buckets}x{ways}");
     }
@@ -163,7 +163,7 @@ fn keyed_zero_geometry_is_a_typed_build_error() {
         .shards(8)
         .config(keyed_config(4, 4))
         .register_on(&syn, EngineBackend::Threshold)
-        .try_build()
+        .try_build_streaming()
         .expect_err("more shards than buckets must be rejected");
     assert_eq!(
         err,

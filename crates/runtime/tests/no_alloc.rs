@@ -1,5 +1,5 @@
 //! Allocation-regression guard for the full sharded hot path: after a
-//! warm-up run, `ShardedRuntime::run_packets` must perform **zero**
+//! warm-up run, a `StreamingRuntime` feed + drain must perform **zero**
 //! per-packet and per-batch heap allocations — ingest (observations,
 //! cross-flow windows, arena fill), the SPSC channels, the workers'
 //! switch loops, and the recycle lanes all run out of memory provisioned
@@ -15,17 +15,21 @@
 //!
 //! Unlike the per-crate guards (`taurus-core`/`taurus-cgra`), the
 //! counting allocator here is process-global — worker threads must be
-//! counted too, not just the ingest thread.
+//! counted too, not just the ingest thread. Because libtest runs tests
+//! in parallel, every test holds [`SERIAL`] across its warm-up and its
+//! measured windows, so no window counts a neighbouring test's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_pisa::{FlowTableKind, PipelineConfig};
-use taurus_runtime::{RuntimeBuilder, ShardedRuntime};
+use taurus_runtime::{RuntimeBuilder, StreamingRuntime};
 
 struct CountingAlloc;
 
@@ -67,6 +71,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests of this binary: the allocator's count is
+/// process-global, so only one test may run while a window is open.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the [`SERIAL`] lock; a test that panicked while holding it
+/// poisons nothing the next test relies on.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::SeqCst);
@@ -90,22 +104,27 @@ fn doubled(single: &PacketTrace) -> Vec<taurus_dataset::trace::TracePacket> {
     d
 }
 
-fn assert_scale_invariant(mut rt: ShardedRuntime, single: &PacketTrace, label: &str) {
+fn assert_scale_invariant(mut rt: StreamingRuntime, single: &PacketTrace, label: &str) {
     let double = doubled(single);
     // Warm-up: provision the batch pool, grow every arena to capacity,
     // populate flow state and fast-path caches on every shard — for
     // both stream lengths, so the measured runs see pure steady state.
-    rt.run_packets(&single.packets);
-    rt.run_packets(&double);
+    rt.feed(&single.packets);
+    rt.drain();
+    rt.feed(&double);
+    rt.drain();
 
     let base = allocations_in(|| {
-        rt.run_packets(&single.packets);
+        rt.feed(&single.packets);
+        rt.drain();
     });
     let repeat = allocations_in(|| {
-        rt.run_packets(&single.packets);
+        rt.feed(&single.packets);
+        rt.drain();
     });
     let scaled = allocations_in(|| {
-        rt.run_packets(&double);
+        rt.feed(&double);
+        rt.drain();
     });
     assert_eq!(base, repeat, "{label}: identical warmed runs must allocate identically");
     assert_eq!(
@@ -117,31 +136,34 @@ fn assert_scale_invariant(mut rt: ShardedRuntime, single: &PacketTrace, label: &
 
 #[test]
 fn sharded_threshold_roster_allocates_independent_of_stream_length() {
+    let _serial = serial();
     let syn = SynFloodDetector::default_deployment();
     let single = trace(400, 51);
     let rt = RuntimeBuilder::new()
         .shards(4)
         .batch_size(32)
         .register_on(&syn, EngineBackend::Threshold)
-        .build();
+        .build_streaming();
     assert_scale_invariant(rt, &single, "threshold x4");
 }
 
 #[test]
 fn sharded_cgra_roster_allocates_independent_of_stream_length() {
+    let _serial = serial();
     let detector = AnomalyDetector::train_default(9, 400);
     let single = trace(250, 52);
     let rt = RuntimeBuilder::new()
         .shards(2)
         .batch_size(32)
-        .parse_workers(0) // pin the classic inline ingest path
+        .parse_workers(0) // pin the calling-thread parse path
         .register(&detector)
-        .build();
+        .build_streaming();
     assert_scale_invariant(rt, &single, "cgra x2");
 }
 
 #[test]
 fn resident_service_feeds_allocate_nothing_after_the_first() {
+    let _serial = serial();
     // The streaming tentpole's allocation story, stated at its
     // strongest: on a resident StreamingRuntime with inline ingest, a
     // warmed `feed` performs ZERO heap allocations — not "a constant
@@ -175,6 +197,7 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
 
 #[test]
 fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
+    let _serial = serial();
     // The keyed table's bounded-state claim, enforced by the allocator:
     // a warmed keyed-mode feed — directory accesses, miss-driven flow
     // starts, per-entry counter updates, bucket-local replacement under
@@ -205,6 +228,7 @@ fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
 
 #[test]
 fn keyed_pipelined_ingest_allocates_independent_of_stream_length() {
+    let _serial = serial();
     // Keyed mode through the parallel pipeline: parse workers skip the
     // candidate filter, the merge stage drives the shared directory —
     // doubling the stream doubles directory accesses and replacement
@@ -221,12 +245,13 @@ fn keyed_pipelined_ingest_allocates_independent_of_stream_length() {
             ..PipelineConfig::default()
         })
         .register_on(&syn, EngineBackend::Threshold)
-        .build();
+        .build_streaming();
     assert_scale_invariant(rt, &single, "keyed pipelined threshold x2 (2 parse workers)");
 }
 
 #[test]
 fn pipelined_ingest_allocates_independent_of_stream_length() {
+    let _serial = serial();
     // The parallel ingest pipeline adds epoch arenas, per-worker SPSC
     // lanes, and per-epoch candidate sets to the hot path; all of that
     // must be provisioned per *run* (epoch pool, preloaded lanes,
@@ -242,6 +267,6 @@ fn pipelined_ingest_allocates_independent_of_stream_length() {
         .parse_workers(2)
         .epoch_len(64)
         .register_on(&syn, EngineBackend::Threshold)
-        .build();
+        .build_streaming();
     assert_scale_invariant(rt, &single, "pipelined threshold x2 (2 parse workers)");
 }

@@ -110,11 +110,11 @@ fn block_ignores_saturation_and_reports_stay_byte_identical() {
     let anomaly = AnomalyDetector::train_default(31, 1_000);
     let trace = kdd_trace(300, 31);
 
-    let clean = builder(&syn, &anomaly, 4).build().run_trace(&trace);
+    let clean = builder(&syn, &anomaly, 4).build_streaming().run_trace(&trace);
     let blocked = builder(&syn, &anomaly, 4)
         .overload_policy(OverloadPolicy::Block)
         .fault_plan(FaultPlan::new().saturate_shard(0, 0, 10_000).saturate_shard(3, 50, 100))
-        .build()
+        .build_streaming()
         .run_trace(&trace);
 
     assert_eq!(blocked, clean, "Block must ignore injected saturation entirely");
@@ -154,7 +154,7 @@ fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
                         .iter()
                         .fold(FaultPlan::new(), |p, &(s, f, l)| p.saturate_shard(s, f, l)),
                 )
-                .build();
+                .build_streaming();
             let report = rt.run_trace(&trace);
             assert_eq!(
                 report.merged, golden,
@@ -213,7 +213,7 @@ fn degrade_issues_line_rate_defaults_and_counts_ground_truth() {
             .fault_plan(
                 windows.iter().fold(FaultPlan::new(), |p, &(s, f, l)| p.saturate_shard(s, f, l)),
             )
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&trace);
         assert_eq!(
             report.merged, golden,

@@ -12,7 +12,7 @@
 //! 2. **Engine-worker drop under blocked steer-send**: an engine worker
 //!    panics (here: a poisoned live update) while the merge stage may
 //!    be parked in a full steer lane — the panic must propagate out of
-//!    `run_packets`, with every other thread released.
+//!    the run's drain, with every other thread released.
 //! 3. **Drain-on-stop**: a clean end of stream leaves no packet
 //!    unmerged and no arena stranded, for geometries that end
 //!    mid-epoch, mid-batch, and with more workers than epochs.
@@ -48,7 +48,7 @@ fn engine_worker_panic_mid_run_propagates_without_deadlock() {
     // An invalid live update (unknown app) makes every engine worker
     // panic at its install barrier. At that moment the merge stage is
     // still steering packets — its next send hits a dead lane. The
-    // panic must surface from run_packets; parse workers, the merge
+    // panic must surface from the drain; parse workers, the merge
     // stage, and the remaining engine workers must all wind down.
     within(Duration::from_secs(60), || {
         let syn = SynFloodDetector::default_deployment();
@@ -60,9 +60,12 @@ fn engine_worker_panic_mid_run_propagates_without_deadlock() {
             .parse_workers(2)
             .epoch_len(32)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
+            .build_streaming();
         // Early index: the poison fires while plenty of stream remains.
-        rt.schedule_update(40, taurus_core::ModelUpdate::retune_threshold("no-such-app", 1, 40));
+        rt.schedule_update(
+            rt.stream_position() + 40,
+            taurus_core::ModelUpdate::retune_threshold("no-such-app", 1, 40),
+        );
         let result = catch_unwind(AssertUnwindSafe(|| rt.run_trace(&t)));
         let payload = result.expect_err("the poisoned update must panic the run");
         let msg = payload
@@ -91,8 +94,11 @@ fn engine_worker_panic_at_the_first_packet_unblocks_every_parse_worker() {
             .parse_workers(3)
             .epoch_len(16)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
-        rt.schedule_update(0, taurus_core::ModelUpdate::retune_threshold("no-such-app", 1, 40));
+            .build_streaming();
+        rt.schedule_update(
+            rt.stream_position(),
+            taurus_core::ModelUpdate::retune_threshold("no-such-app", 1, 40),
+        );
         let result = catch_unwind(AssertUnwindSafe(|| rt.run_trace(&t)));
         assert!(result.is_err(), "the poisoned update must panic the run");
     });
@@ -112,8 +118,11 @@ fn runtime_survives_a_panicked_run_and_completes_the_next_one() {
             .parse_workers(2)
             .epoch_len(32)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
-        rt.schedule_update(50, taurus_core::ModelUpdate::retune_threshold("no-such-app", 1, 40));
+            .build_streaming();
+        rt.schedule_update(
+            rt.stream_position() + 50,
+            taurus_core::ModelUpdate::retune_threshold("no-such-app", 1, 40),
+        );
         let poisoned = catch_unwind(AssertUnwindSafe(|| rt.run_trace(&t)));
         assert!(poisoned.is_err());
         // Clean follow-up run on the same runtime.
@@ -148,14 +157,16 @@ fn drain_on_stop_leaves_no_packet_unmerged() {
                 .parse_workers(workers)
                 .epoch_len(epoch_len)
                 .register_on(&syn, EngineBackend::Threshold)
-                .build();
-            let report = rt.run_packets(stream);
+                .build_streaming();
+            rt.feed(stream);
+            let report = rt.drain();
             assert_eq!(report.merged.packets, n, "{packets}p/{epoch_len}e/{workers}w");
             let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
             assert_eq!(routed, n, "{packets}p/{epoch_len}e/{workers}w: steered == merged");
             // And the run is repeatable on the warm runtime (arenas all
             // recovered, lanes rebuilt).
-            let again = rt.run_packets(stream);
+            rt.feed(stream);
+            let again = rt.drain();
             assert_eq!(again.merged.packets, 2 * n);
         }
     });
@@ -170,8 +181,9 @@ fn empty_stream_with_parse_workers_spins_up_and_down_cleanly() {
             .parse_workers(3)
             .epoch_len(64)
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
-        let report = rt.run_packets(&[]);
+            .build_streaming();
+        rt.feed(&[]);
+        let report = rt.drain();
         assert_eq!(report.merged.packets, 0);
     });
 }

@@ -205,7 +205,7 @@ proptest! {
             .queue_depth(queue_depth)
             .backend(EngineBackend::Threshold)
             .register(&syn)
-            .build();
+            .build_streaming();
         let report = rt.run_trace(&trace);
         prop_assert_eq!(
             report.merged,

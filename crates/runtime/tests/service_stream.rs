@@ -38,7 +38,7 @@ fn gapped(base: &PacketTrace, repeats: usize, gap_ns: u64) -> Vec<TracePacket> {
 fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
     // The tentpole equivalence: feed the stream in three pieces to a
     // resident service, drain once — the merged report and segments
-    // must be bit-identical to run_packets on the whole stream (batch
+    // must be bit-identical to one feed of the whole stream (batch
     // counts may differ: feed boundaries flush partial batches early).
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(300, 91);
@@ -79,8 +79,8 @@ fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
 #[test]
 fn drain_resets_per_run_stats_but_keeps_flow_state() {
     // Two feed+drain cycles on one resident service behave exactly like
-    // two run_packets calls on a long-lived ShardedRuntime: replica
-    // reports accumulate, per-run stats restart.
+    // two feeds of a long-lived runtime, each drained: replica reports
+    // accumulate, per-run stats restart.
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(150, 92);
     let mut service = RuntimeBuilder::new()
@@ -210,8 +210,9 @@ fn idle_eviction_is_deterministic_across_shard_and_worker_geometries() {
             .epoch_len(64)
             .config(cfg.clone())
             .register_on(&syn, EngineBackend::Threshold)
-            .build();
-        let report = rt.run_packets(&packets);
+            .build_streaming();
+        rt.feed(&packets);
+        let report = rt.drain();
         assert_eq!(report.merged, golden, "shards={shards} workers={workers}");
         assert_eq!(report.evictions(), golden.evictions);
         assert!(report.evictions() > 0);
@@ -223,8 +224,11 @@ fn eviction_disabled_by_default_keeps_reports_eviction_free() {
     let syn = SynFloodDetector::default_deployment();
     let base = kdd_trace(60, 97);
     let packets = gapped(&base, 3, 10 * PipelineConfig::default().window_ns);
-    let mut rt =
-        RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
-    let report = rt.run_packets(&packets);
+    let mut rt = RuntimeBuilder::new()
+        .shards(2)
+        .register_on(&syn, EngineBackend::Threshold)
+        .build_streaming();
+    rt.feed(&packets);
+    let report = rt.drain();
     assert_eq!(report.evictions(), 0, "idle_timeout_ns defaults to 0 = disabled");
 }

@@ -76,9 +76,12 @@ fn cgra_weight_swap_at_k_matches_sequential_for_shards_1_2_4() {
     assert_ne!(frozen.report(), golden, "the swapped weights must decide differently");
 
     for shards in [1usize, 2, 4] {
-        let mut rt =
-            RuntimeBuilder::new().shards(shards).batch_size(32).register(&detector).build();
-        rt.schedule_update(k as u64, update.clone());
+        let mut rt = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(32)
+            .register(&detector)
+            .build_streaming();
+        rt.schedule_update(rt.stream_position() + k as u64, update.clone());
         let report = rt.run_trace(&trace);
         assert_eq!(
             report.merged, golden,
@@ -117,8 +120,8 @@ fn threshold_retune_mid_stream_matches_sequential_for_shards_1_2_4() {
             .backend(EngineBackend::Threshold)
             .register(&detector)
             .register(&syn)
-            .build();
-        rt.schedule_update(k as u64, retune.clone());
+            .build_streaming();
+        rt.schedule_update(rt.stream_position() + k as u64, retune.clone());
         let report = rt.run_trace(&trace);
         assert_eq!(report.merged, golden, "diverged at {shards} shards");
         assert_eq!(report.segments, golden_segments);
@@ -157,8 +160,8 @@ fn update_landing_mid_epoch_applies_at_the_same_global_index_under_the_pipeline(
             .backend(EngineBackend::Threshold)
             .register(&detector)
             .register(&syn)
-            .build();
-        rt.schedule_update(k as u64, retune.clone());
+            .build_streaming();
+        rt.schedule_update(rt.stream_position() + k as u64, retune.clone());
         let report = rt.run_trace(&trace);
         assert_eq!(report.merged, golden, "pipelined run diverged at {shards} shards");
         assert_eq!(report.segments, golden_segments, "segment split moved at {shards} shards");
@@ -182,9 +185,9 @@ fn two_updates_at_the_same_index_install_in_schedule_order() {
             .shards(shards)
             .backend(EngineBackend::Threshold)
             .register(&syn)
-            .build();
-        rt.schedule_update(k as u64, u1.clone());
-        rt.schedule_update(k as u64, u2.clone());
+            .build_streaming();
+        rt.schedule_update(rt.stream_position() + k as u64, u1.clone());
+        rt.schedule_update(rt.stream_position() + k as u64, u2.clone());
         let report = rt.run_trace(&trace);
         assert_eq!(report.merged, golden, "diverged at {shards} shards");
         assert_eq!(report.segments, golden_segments);

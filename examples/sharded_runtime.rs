@@ -1,13 +1,13 @@
 //! Sharded multi-core hosting: scale one Taurus deployment across N
 //! switch replicas without changing its semantics. The runtime routes
-//! packets by flow-consistent hashing, batches them over bounded SPSC
+//! packets by flow-consistent register-slot routing, batches them over bounded SPSC
 //! queues to one worker thread per shard, and merges the per-shard
 //! reports — and the merged report equals the single-threaded switch's
 //! report *exactly* (this example checks it).
 //!
 //! The trace is fed in fixed-size segments via `PacketTrace::batches`,
-//! the streaming-driver pattern: flow state persists across
-//! `run_packets` calls, so a driver never has to hold a whole trace —
+//! the streaming-driver pattern: flow state persists across feeds, so
+//! a driver never has to hold a whole trace —
 //! and exactness still holds end to end.
 //!
 //! Run with: `cargo run --release --example sharded_runtime`
@@ -47,11 +47,12 @@ fn main() {
         .batch_size(128)
         .register(&detector)
         .register(&syn_flood)
-        .build();
+        .build_streaming();
     let mut segments = 0usize;
     let mut report = None;
     for segment in trace.batches(SEGMENT) {
-        report = Some(runtime.run_packets(segment));
+        runtime.feed(segment);
+        report = Some(runtime.drain());
         segments += 1;
     }
     let report = report.expect("trace is non-empty");
