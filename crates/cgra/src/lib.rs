@@ -13,7 +13,7 @@
 //! The pipeline is static: the firing order, every operand location,
 //! and the whole cycle calculation depend only on the program, never on
 //! a packet's values. [`CgraSim::shared`] therefore compiles the unit
-//! list once into an [`ExecPlan`] — a dense `NodeId → (offset, width)`
+//! list once into an `ExecPlan` — a dense `NodeId → (offset, width)`
 //! slot map into one reusable `i32` slab plus a flattened op schedule
 //! with all graph lookups (weight banks, biases, requantizers, LUT ids,
 //! const vectors) resolved up front — and the per-packet path executes
@@ -393,7 +393,7 @@ impl ExecPlan {
 /// The simulator: owns persistent state, shares the compiled program
 /// (`Arc`, so many simulators/switches can run one compilation without
 /// borrow lifetimes), and streams packets through its precompiled
-/// [`ExecPlan`].
+/// `ExecPlan`.
 #[derive(Debug, Clone)]
 pub struct CgraSim {
     program: Arc<GridProgram>,

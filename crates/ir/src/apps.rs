@@ -83,7 +83,7 @@ pub fn count_min_sketch(d: usize, w: usize) -> Graph {
     b.finish().expect("cms is structurally valid")
 }
 
-/// Elastic RSS (Rucker et al., the paper's [134]): map scores every core
+/// Elastic RSS (Rucker et al., the paper's \[134\]): map scores every core
 /// by load-adjusted hash affinity, reduce selects the best core.
 ///
 /// Input: `[flow_key, load_0 … load_{n−1}]` (current per-core loads as

@@ -30,7 +30,7 @@ use crate::svm::Svm;
 const LANES: usize = 8;
 
 /// Zero-point-corrected int8 dot product with `i32` accumulation —
-/// primitive (1) of the integer pipeline. Chunked over [`LANES`]
+/// primitive (1) of the integer pipeline. Chunked over `LANES`
 /// independent accumulators so the compiler autovectorizes it;
 /// reassociating the `i32` sum is exact (int8×int8 partial products
 /// cannot overflow an `i32` accumulator at any realistic width).

@@ -1,7 +1,7 @@
 //! The parse-graph state machine: wire bytes → PHV.
 //!
 //! Real PISA parsers walk a programmable state machine over header bytes
-//! (Gibb et al., the paper's [56]); this one implements the
+//! (Gibb et al., the paper's \[56\]); this one implements the
 //! Ethernet → IPv4 → {TCP, UDP, ICMP} graph the anomaly-detection
 //! application needs, reusing the byte-level decoding in
 //! [`crate::packet`] and charging a fixed per-packet parse latency.

@@ -1,5 +1,5 @@
 //! The Packet Header Vector: the fixed-layout field container that flows
-//! between pipeline stages (Bosshart et al., the paper's [15]).
+//! between pipeline stages (Bosshart et al., the paper's \[15\]).
 
 use serde::{Deserialize, Serialize};
 

@@ -3,7 +3,7 @@
 //! Fig. 6 splits the traditional single packet queue into sub-queues
 //! around the MapReduce block with a round-robin selector joining the ML
 //! and bypass paths; egress uses a programmable scheduler (the paper
-//! points at PIFO, its [147]). This module provides bounded FIFOs, the
+//! points at PIFO, its \[147\]). This module provides bounded FIFOs, the
 //! RR join, a PIFO (push-in-first-out priority queue), and a
 //! strict-priority egress scheduler.
 

@@ -108,16 +108,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Folds another report's faults into this one (counters add,
-    /// lists concatenate).
-    pub fn absorb(&mut self, other: &FaultReport) {
-        self.worker_restarts += other.worker_restarts;
-        self.batches_dropped += other.batches_dropped;
-        self.rollbacks_taken += other.rollbacks_taken;
-        self.canary_verdicts.extend(other.canary_verdicts.iter().cloned());
-        self.records.extend(other.records.iter().cloned());
-    }
-
     /// `true` when nothing faulted: the report equals its default.
     pub fn is_empty(&self) -> bool {
         *self == FaultReport::default()
@@ -509,35 +499,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_report_merge_is_exact() {
-        let mut a = FaultReport {
-            worker_restarts: 1,
-            batches_dropped: 3,
-            rollbacks_taken: 0,
-            canary_verdicts: vec![],
+    fn fault_report_is_empty_only_at_default() {
+        let report = FaultReport {
             records: vec![FaultRecord {
                 shard: 0,
                 kind: FaultRecordKind::WorkerPanic,
                 detail: "boom".into(),
             }],
+            ..FaultReport::default()
         };
-        let b = FaultReport {
-            worker_restarts: 0,
-            batches_dropped: 2,
-            rollbacks_taken: 1,
-            canary_verdicts: vec![],
-            records: vec![FaultRecord {
-                shard: 1,
-                kind: FaultRecordKind::Unresponsive,
-                detail: "50 ms".into(),
-            }],
-        };
-        a.absorb(&b);
-        assert_eq!(a.worker_restarts, 1);
-        assert_eq!(a.batches_dropped, 5);
-        assert_eq!(a.rollbacks_taken, 1);
-        assert_eq!(a.records.len(), 2);
-        assert!(!a.is_empty());
+        assert!(!report.is_empty());
         assert!(FaultReport::default().is_empty());
     }
 

@@ -8,7 +8,7 @@
 //! global arrival order, reassembled at epoch granularity.
 //!
 //! A [`ParsedSlot`] carries everything the order-free parse stage could
-//! precompute — the wire [`Packet`], the keyed observation (minus the
+//! precompute — the wire [`taurus_pisa::Packet`], the keyed observation (minus the
 //! first-seen bit), the home shard, and the epoch-local first-seen
 //! **candidate** flag — plus the two inputs the merge stage needs to
 //! finish the job (`conn_id` for global first-seen resolution,

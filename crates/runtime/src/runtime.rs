@@ -1,5 +1,5 @@
 //! The sharded runtime's configuration and report types: N
-//! [`TaurusSwitch`] replicas on resident worker threads
+//! [`taurus_core::TaurusSwitch`] replicas on resident worker threads
 //! ([`StreamingRuntime`]), fed fixed-size packet batches over bounded
 //! SPSC channels by an ingest stage that owns everything
 //! order-sensitive — the epoch pipeline ([`crate::pipeline`]), whose
@@ -27,8 +27,9 @@
 //!    ships each packet's counts inside its batch entry, exactly as the
 //!    paper's hardware computes register features before any egress
 //!    fan-out.
-//! 3. **Flow-start bookkeeping** ([`ObsBuilder`]), also sequential —
-//!    though the parse step pre-filters per-epoch candidates so the
+//! 3. **Flow-start bookkeeping**
+//!    ([`taurus_core::ingest::ObsBuilder`]), also sequential — though
+//!    the parse step pre-filters per-epoch candidates so the
 //!    merge stage probes the seen-set once per (connection, epoch)
 //!    instead of once per packet.
 //!
@@ -150,7 +151,7 @@ impl core::fmt::Display for BuildError {
                 f,
                 "shard count {shards} exceeds the {flow_slots} per-flow register slots; \
                  shards beyond the slot range would never receive a packet — lower the shard \
-                 count or raise PipelineConfig.flow_slots / shard_flow_slots()"
+                 count or raise PipelineConfig.flow_slots"
             ),
             Self::ZeroQueueDepth => {
                 write!(f, "queue_depth must be positive (lanes are non-rendezvous)")
@@ -198,7 +199,6 @@ pub struct RuntimeBuilder<'a> {
     epoch_len: usize,
     config: PipelineConfig,
     backend: EngineBackend,
-    shard_flow_slots: Option<usize>,
     apps: Vec<(&'a dyn TaurusApp, EngineBackend)>,
     fault_plan: FaultPlan,
     spare_replicas: usize,
@@ -216,7 +216,6 @@ impl Default for RuntimeBuilder<'_> {
             epoch_len: 512,
             config: PipelineConfig::default(),
             backend: EngineBackend::default(),
-            shard_flow_slots: None,
             apps: Vec::new(),
             fault_plan: FaultPlan::default(),
             spare_replicas: 0,
@@ -329,20 +328,6 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Overrides each replica's per-flow register capacity (the
-    /// [`taurus_pisa::FlowTracker`] sizing hook). By default every shard
-    /// keeps the full `flow_slots` so collision structure — and thus
-    /// features — match the sequential switch exactly; shrinking this
-    /// (e.g. to `flow_slots / shards`) trades that exactness for memory
-    /// proportionality. Routing follows the override ([`shard_of`] folds
-    /// through the replica capacity), so flows that collide in a
-    /// replica's registers still share a shard.
-    pub fn shard_flow_slots(mut self, slots: usize) -> Self {
-        assert!(slots > 0, "shard_flow_slots must be positive");
-        self.shard_flow_slots = Some(slots);
-        self
-    }
-
     /// Arms a deterministic fault-injection plan: engine panics,
     /// stalls, and dropped install replies at exact
     /// (shard, global stream index) points — see [`FaultPlan`]. Empty
@@ -365,10 +350,11 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Watchdog for synchronous control-plane exchanges (install
-    /// replies, drain snapshots): a shard that stays silent this long
-    /// is declared unresponsive instead of hanging the caller forever.
-    /// Defaults to 30 s.
+    /// Watchdog for synchronous control-plane exchanges (install,
+    /// canary, metrics, promote and rollback replies, drain
+    /// snapshots): a shard that stays silent this long is declared
+    /// unresponsive — and recorded in [`RuntimeReport::faults`] —
+    /// instead of hanging the caller forever. Defaults to 30 s.
     ///
     /// # Panics
     ///
@@ -448,9 +434,7 @@ impl<'a> RuntimeBuilder<'a> {
         // builds the shared ingest-side flow directory that resolves
         // flow starts by table-miss semantics.
         let (route_slots, directory) = match self.config.flow_table {
-            FlowTableKind::DirectMapped => {
-                (self.shard_flow_slots.unwrap_or(self.config.flow_slots), None)
-            }
+            FlowTableKind::DirectMapped => (self.config.flow_slots, None),
             FlowTableKind::Keyed { buckets, ways } => {
                 if buckets == 0 || ways == 0 {
                     return Err(BuildError::NoFlowSlots);
@@ -474,21 +458,14 @@ impl<'a> RuntimeBuilder<'a> {
             // where parse stops being the bottleneck.
             cores.saturating_sub(self.shards + 1).min(4)
         });
-        // Direct-mapped replicas size their registers to the routed slot
-        // count (the `shard_flow_slots` override). Keyed replicas keep
-        // the configured bucket × way geometry verbatim — every shard
-        // hosts the full table, which is what keeps eviction decisions
+        // Every replica keeps the configured flow state verbatim — the
+        // full register slots or bucket × way table — which is what
+        // keeps per-flow features and eviction decisions
         // geometry-invariant.
-        let replica_config = match self.config.flow_table {
-            FlowTableKind::DirectMapped => {
-                PipelineConfig { flow_slots: route_slots, ..self.config.clone() }
-            }
-            FlowTableKind::Keyed { .. } => self.config.clone(),
-        };
         let build_replica = || {
             self.apps
                 .iter()
-                .fold(SwitchBuilder::new().config(replica_config.clone()), |b, &(app, be)| {
+                .fold(SwitchBuilder::new().config(self.config.clone()), |b, &(app, be)| {
                     b.register_on(app, be)
                 })
                 .build()
@@ -792,7 +769,8 @@ mod tests {
         let syn = SynFloodDetector::default_deployment();
         let err = RuntimeBuilder::new()
             .shards(8)
-            .shard_flow_slots(4) // 8 shards cannot share 4 route slots
+            // 8 shards cannot share 4 route slots.
+            .config(PipelineConfig { flow_slots: 4, ..PipelineConfig::default() })
             .register_on(&syn, EngineBackend::Threshold)
             .try_build_streaming()
             .expect_err("impossible geometry must be rejected");
@@ -801,25 +779,11 @@ mod tests {
         // At the boundary (one slot per shard) the config is legal.
         let rt = RuntimeBuilder::new()
             .shards(4)
-            .shard_flow_slots(4)
+            .config(PipelineConfig { flow_slots: 4, ..PipelineConfig::default() })
             .register_on(&syn, EngineBackend::Threshold)
             .try_build_streaming()
             .expect("shards == flow_slots is the legal extreme");
         assert_eq!(rt.shard_count(), 4);
-    }
-
-    #[test]
-    fn shard_flow_slots_still_opts_into_approximate_sharding() {
-        let syn = SynFloodDetector::default_deployment();
-        let t = trace(60, 35);
-        let mut rt = RuntimeBuilder::new()
-            .shards(3)
-            .shard_flow_slots(2048) // smaller replicas: approximate sharding
-            .backend(EngineBackend::Threshold)
-            .register(&syn)
-            .build_streaming();
-        let report = rt.run_trace(&t);
-        assert_eq!(report.merged.packets, t.packets.len() as u64);
     }
 
     #[test]

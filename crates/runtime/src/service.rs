@@ -366,8 +366,8 @@ pub struct StreamingRuntime {
     /// Every update the fleet accepted, in install order — replayed
     /// onto a spare to rehydrate it to the fleet's current versions.
     history: Vec<Arc<ModelUpdate>>,
-    /// How long a control-plane exchange (install reply, drain
-    /// snapshot) may take before the shard is declared unresponsive.
+    /// How long a control-plane reply or drain snapshot may take
+    /// before the shard is declared unresponsive.
     control_timeout: Duration,
     /// Fault accounting accumulated since the last drain.
     fault_acc: FaultReport,
@@ -493,19 +493,9 @@ impl StreamingRuntime {
         self.shards
     }
 
-    /// Packets per ingest batch.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Parse workers per feed (`0` = the calling thread parses).
     pub fn parse_worker_count(&self) -> usize {
         self.parse_workers
-    }
-
-    /// Packets per ingest epoch.
-    pub fn epoch_len(&self) -> usize {
-        self.epoch_len
     }
 
     /// Global stream position: packets fed since construction. A feed
@@ -799,14 +789,10 @@ impl StreamingRuntime {
     }
 
     /// Drains, then tears the service down: closes every lane, joins
-    /// every resident worker, and returns the final report.
+    /// every resident worker (see the `Drop` impl), and returns the
+    /// final report.
     pub fn shutdown(mut self) -> RuntimeReport {
-        let report = self.drain();
-        self.senders.clear(); // closing the lanes ends the worker loops
-        for worker in self.workers.drain(..).chain(self.retired.drain(..)) {
-            let _ = worker.join();
-        }
-        report
+        self.drain()
     }
 
     /// Feeds a whole trace and drains.
@@ -840,10 +826,8 @@ impl StreamingRuntime {
         let mut sent = 0;
         let mut first_err: Option<InstallError> = None;
         for shard in 0..self.shards {
-            if self.lost[shard]
-                || self.senders[shard].send(ShardMsg::Install(Arc::clone(&shared))).is_err()
-            {
-                first_err = Some(ShardError::Dead { shard }.into());
+            if let Err(e) = self.send_control(shard, ShardMsg::Install(Arc::clone(&shared))) {
+                first_err = Some(e.into());
                 break;
             }
             sent += 1;
@@ -851,7 +835,12 @@ impl StreamingRuntime {
         // Gather every outstanding reply even after a failure so the
         // reply lanes stay aligned for the next control operation.
         for shard in 0..sent {
-            if let Err(e) = self.await_install_reply(shard) {
+            let result = match self.await_reply(shard, "install") {
+                Ok(WorkerReply::Install(result)) => result.map_err(InstallError::Rejected),
+                Ok(_) => Err(ShardError::Dead { shard }.into()),
+                Err(e) => Err(e.into()),
+            };
+            if let Err(e) = result {
                 first_err.get_or_insert(e);
             }
         }
@@ -864,23 +853,44 @@ impl StreamingRuntime {
         }
     }
 
-    fn await_install_reply(&mut self, shard: usize) -> Result<(), InstallError> {
-        match self.replies[shard].recv_timeout(self.control_timeout) {
-            Ok(WorkerReply::Install(result)) => result.map_err(InstallError::Rejected),
-            Ok(_) => Err(ShardError::Dead { shard }.into()),
-            Err(spsc::RecvTimeoutError::Timeout) => {
+    /// Sends a control-plane message to `shard`; a lost shard or a
+    /// closed lane is [`ShardError::Dead`].
+    fn send_control(&self, shard: usize, msg: ShardMsg) -> Result<(), ShardError> {
+        if self.lost[shard] || self.senders[shard].send(msg).is_err() {
+            return Err(ShardError::Dead { shard });
+        }
+        Ok(())
+    }
+
+    /// Awaits `shard`'s reply to a `what` exchange within the control
+    /// timeout. A timeout records one [`FaultRecordKind::Unresponsive`]
+    /// fault and is [`ShardError::Unresponsive`]; a closed reply lane
+    /// is [`ShardError::Dead`].
+    fn await_reply(&mut self, shard: usize, what: &str) -> Result<WorkerReply, ShardError> {
+        let waited = self.control_timeout;
+        self.replies[shard].recv_timeout(waited).map_err(|e| match e {
+            spsc::RecvTimeoutError::Timeout => {
                 self.fault_acc.records.push(FaultRecord {
                     shard,
                     kind: FaultRecordKind::Unresponsive,
-                    detail: format!(
-                        "no install reply within {} ms",
-                        self.control_timeout.as_millis()
-                    ),
+                    detail: format!("no {what} reply within {} ms", waited.as_millis()),
                 });
-                Err(ShardError::Unresponsive { shard, waited: self.control_timeout }.into())
+                ShardError::Unresponsive { shard, waited }
             }
-            Err(spsc::RecvTimeoutError::Disconnected) => Err(ShardError::Dead { shard }.into()),
-        }
+            spsc::RecvTimeoutError::Disconnected => ShardError::Dead { shard },
+        })
+    }
+
+    /// One synchronous control-plane exchange: [`Self::send_control`]
+    /// then [`Self::await_reply`].
+    fn request(
+        &mut self,
+        shard: usize,
+        msg: ShardMsg,
+        what: &str,
+    ) -> Result<WorkerReply, ShardError> {
+        self.send_control(shard, msg)?;
+        self.await_reply(shard, what)
     }
 
     /// Schedules a live update for **global stream index**
@@ -987,35 +997,22 @@ impl StreamingRuntime {
         let shared = Arc::new(update.clone());
         let mut points: Vec<(usize, RollbackPoint)> = Vec::new();
         for shard in first_canary..self.shards {
-            if self.lost[shard] {
-                return Err(ShardError::Dead { shard }.into());
-            }
-            if self.senders[shard].send(ShardMsg::CanaryInstall(Arc::clone(&shared))).is_err() {
-                return Err(ShardError::Dead { shard }.into());
-            }
-            match self.replies[shard].recv_timeout(self.control_timeout) {
-                Ok(WorkerReply::Canary(Ok(point))) => points.push((shard, *point)),
-                Ok(WorkerReply::Canary(Err(e))) => {
+            let msg = ShardMsg::CanaryInstall(Arc::clone(&shared));
+            match self.request(shard, msg, "canary install")? {
+                WorkerReply::Canary(Ok(point)) => points.push((shard, *point)),
+                WorkerReply::Canary(Err(e)) => {
                     // Replicas are identical, so the first canary shard
                     // vets the candidate for all of them: a rejection
                     // lands here before any other replica changed. (If
                     // a later shard disagreed anyway, restore the ones
                     // already switched.)
                     for (s, p) in &points {
-                        let _ = self.senders[*s].send(ShardMsg::Rollback(Box::new(p.clone())));
-                        let _ = self.replies[*s].recv_timeout(self.control_timeout);
+                        let _ =
+                            self.request(*s, ShardMsg::Rollback(Box::new(p.clone())), "rollback");
                     }
                     return Err(InstallError::Rejected(e));
                 }
-                Ok(_) => return Err(ShardError::Dead { shard }.into()),
-                Err(spsc::RecvTimeoutError::Timeout) => {
-                    return Err(
-                        ShardError::Unresponsive { shard, waited: self.control_timeout }.into()
-                    )
-                }
-                Err(spsc::RecvTimeoutError::Disconnected) => {
-                    return Err(ShardError::Dead { shard }.into())
-                }
+                _ => return Err(ShardError::Dead { shard }.into()),
             }
         }
         // Synchronized segment boundary on the control shards: segment
@@ -1064,27 +1061,16 @@ impl StreamingRuntime {
             if self.lost[shard] {
                 continue;
             }
-            if self.senders[shard].send(ShardMsg::Metrics).is_err() {
+            let WorkerReply::Metrics { previous, current } =
+                self.request(shard, ShardMsg::Metrics, "metrics")?
+            else {
                 return Err(ShardError::Dead { shard }.into());
-            }
-            match self.replies[shard].recv_timeout(self.control_timeout) {
-                Ok(WorkerReply::Metrics { previous, current }) => {
-                    fleet_before.absorb(&previous);
-                    if shard >= run.first_canary {
-                        canary_now.absorb(&current);
-                    } else {
-                        control_now.absorb(&current);
-                    }
-                }
-                Ok(_) => return Err(ShardError::Dead { shard }.into()),
-                Err(spsc::RecvTimeoutError::Timeout) => {
-                    return Err(
-                        ShardError::Unresponsive { shard, waited: self.control_timeout }.into()
-                    )
-                }
-                Err(spsc::RecvTimeoutError::Disconnected) => {
-                    return Err(ShardError::Dead { shard }.into())
-                }
+            };
+            fleet_before.absorb(&previous);
+            if shard >= run.first_canary {
+                canary_now.absorb(&current);
+            } else {
+                control_now.absorb(&current);
             }
         }
         let control = if run.first_canary == 0 { fleet_before } else { control_now };
@@ -1095,23 +1081,10 @@ impl StreamingRuntime {
                     if self.lost[shard] {
                         continue;
                     }
-                    if self.senders[shard].send(ShardMsg::Promote(Arc::clone(&run.update))).is_err()
-                    {
+                    let msg = ShardMsg::Promote(Arc::clone(&run.update));
+                    let WorkerReply::Install(_) = self.request(shard, msg, "promote")? else {
                         return Err(ShardError::Dead { shard }.into());
-                    }
-                    match self.replies[shard].recv_timeout(self.control_timeout) {
-                        Ok(WorkerReply::Install(_)) => {}
-                        Ok(_) | Err(spsc::RecvTimeoutError::Disconnected) => {
-                            return Err(ShardError::Dead { shard }.into())
-                        }
-                        Err(spsc::RecvTimeoutError::Timeout) => {
-                            return Err(ShardError::Unresponsive {
-                                shard,
-                                waited: self.control_timeout,
-                            }
-                            .into())
-                        }
-                    }
+                    };
                 }
                 for shard in run.first_canary..self.shards {
                     let _ = self.senders[shard].send(ShardMsg::MarkSegment);
@@ -1123,25 +1096,10 @@ impl StreamingRuntime {
                     if self.lost[*shard] {
                         continue;
                     }
-                    if self.senders[*shard]
-                        .send(ShardMsg::Rollback(Box::new(point.clone())))
-                        .is_err()
-                    {
+                    let msg = ShardMsg::Rollback(Box::new(point.clone()));
+                    let WorkerReply::Install(_) = self.request(*shard, msg, "rollback")? else {
                         return Err(ShardError::Dead { shard: *shard }.into());
-                    }
-                    match self.replies[*shard].recv_timeout(self.control_timeout) {
-                        Ok(WorkerReply::Install(_)) => {}
-                        Ok(_) | Err(spsc::RecvTimeoutError::Disconnected) => {
-                            return Err(ShardError::Dead { shard: *shard }.into())
-                        }
-                        Err(spsc::RecvTimeoutError::Timeout) => {
-                            return Err(ShardError::Unresponsive {
-                                shard: *shard,
-                                waited: self.control_timeout,
-                            }
-                            .into())
-                        }
-                    }
+                    };
                 }
                 for shard in 0..run.first_canary {
                     let _ = self.senders[shard].send(ShardMsg::MarkSegment);
@@ -1181,7 +1139,7 @@ impl StreamingRuntime {
 
 impl Drop for StreamingRuntime {
     /// Tears down without a report: closes the lanes and joins the
-    /// workers (no-op after [`StreamingRuntime::shutdown`]). A caught
+    /// workers ([`StreamingRuntime::shutdown`] ends here too). A caught
     /// worker panic dies with the service — dropping instead of
     /// draining is the "I don't care about the outcome" path.
     fn drop(&mut self) {

@@ -16,15 +16,19 @@
 //! is traversed once per *batch*, not per packet, and lock cost is
 //! amortized away. Endpoints are deliberately `!Clone`.
 //!
-//! Blocked endpoints **spin briefly before parking**: when the peer is
-//! one batch away from making room (the common hot-path case — cheap
-//! engines drain batches in microseconds), a few polling retries with
-//! yields avoid the full park/unpark round trip through the scheduler
-//! that used to dominate the channel cost at high shard counts. The
-//! spin is bounded ([`SPIN_TRIES`]) and yields the core on every
-//! iteration, so oversubscribed configurations (more shards than
-//! cores) degrade to the old park-immediately behavior after a few
-//! scheduling quanta rather than burning the peer's CPU.
+//! Every send and receive runs one deadline-bounded wait loop: lock,
+//! attempt, then — while the peer has not made room (or data) yet —
+//! **spin briefly before parking**. When the peer is one batch away
+//! from making room (the common hot-path case — cheap engines drain
+//! batches in microseconds), a few polling retries with yields avoid
+//! the full park/unpark round trip through the scheduler that used to
+//! dominate the channel cost at high shard counts. The spin is bounded
+//! (32 polls) and yields the core on every iteration, so
+//! oversubscribed configurations (more shards than cores) degrade to
+//! parking immediately after a few scheduling quanta rather than
+//! burning the peer's CPU. The blocking, `try_*` and `*_timeout`
+//! flavors differ only in their deadline: none, "now" (one attempt, no
+//! spin), or now + timeout.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -116,6 +120,85 @@ struct Shared<T> {
     not_full: Condvar,
 }
 
+/// Why a deadline-bounded [`Shared::push`] or [`Shared::pop`] gave up.
+enum Stop {
+    /// The deadline passed with the peer still alive.
+    Timeout,
+    /// The peer is gone.
+    Disconnected,
+}
+
+/// The deadline `timeout` from now; `None` (block) if it overflows.
+fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
+impl<T> Shared<T> {
+    /// The one wait loop behind every endpoint operation: returns the
+    /// locked state once `ready` holds, or `None` once `deadline` has
+    /// passed (`None` deadline = wait forever). A not-ready state first
+    /// gets up to [`SPIN_TRIES`] polls, each dropping the lock and
+    /// yielding, then parks on `cv`; spurious and timed-out wakes loop
+    /// back through the same checks. A deadline of "now" is a single
+    /// attempt with no spin.
+    fn wait_until(
+        &self,
+        cv: &Condvar,
+        deadline: Option<Instant>,
+        ready: impl Fn(&State<T>) -> bool,
+    ) -> Option<MutexGuard<'_, State<T>>> {
+        let mut state = recover(self.state.lock());
+        let mut spins = 0;
+        while !ready(&state) {
+            let remaining = match deadline {
+                None => None,
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(r) if !r.is_zero() => Some(r),
+                    _ => return None,
+                },
+            };
+            if spins < SPIN_TRIES {
+                spins += 1;
+                drop(state);
+                std::hint::spin_loop();
+                std::thread::yield_now();
+                state = recover(self.state.lock());
+            } else {
+                state = match remaining {
+                    None => recover(cv.wait(state)),
+                    Some(r) => cv.wait_timeout(state, r).unwrap_or_else(PoisonError::into_inner).0,
+                };
+            }
+        }
+        Some(state)
+    }
+
+    /// Enqueues `value` once there is room, or hands it back with the
+    /// reason: the receiver is gone, or `deadline` passed while full.
+    fn push(&self, value: T, deadline: Option<Instant>) -> Result<(), (Stop, T)> {
+        let ready = |s: &State<T>| !s.receiver_alive || s.buf.len() < self.capacity;
+        let Some(mut state) = self.wait_until(&self.not_full, deadline, ready) else {
+            return Err((Stop::Timeout, value));
+        };
+        if !state.receiver_alive {
+            return Err((Stop::Disconnected, value));
+        }
+        state.buf.push_back(value);
+        self.not_empty.notify_one();
+        Ok(())
+    }
+
+    /// Dequeues the next item — buffered items drain even after the
+    /// sender is gone — or reports why nothing came.
+    fn pop(&self, deadline: Option<Instant>) -> Result<T, Stop> {
+        let ready = |s: &State<T>| !s.buf.is_empty() || !s.sender_alive;
+        let mut state = self.wait_until(&self.not_empty, deadline, ready).ok_or(Stop::Timeout)?;
+        let value = state.buf.pop_front().ok_or(Stop::Disconnected)?;
+        self.not_full.notify_one();
+        Ok(value)
+    }
+}
+
 /// The producing endpoint. Dropping it closes the channel: the receiver
 /// drains what was sent, then sees [`RecvError`].
 pub struct Sender<T> {
@@ -157,37 +240,7 @@ impl<T> Sender<T> {
     ///
     /// [`SendError`] carrying the item back if the receiver was dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        // Spin phase: poll-with-yield a bounded number of times. The
-        // receiver usually frees a slot within a quantum or two, and a
-        // successful poll skips the condvar park entirely.
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if !state.receiver_alive {
-                    return Err(SendError(value));
-                }
-                if state.buf.len() < self.shared.capacity {
-                    state.buf.push_back(value);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        // Park phase: the classic condvar predicate loop.
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            if state.buf.len() < self.shared.capacity {
-                state.buf.push_back(value);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            state = recover(self.shared.not_full.wait(state));
-        }
+        self.shared.push(value, None).map_err(|(_, v)| SendError(v))
     }
 
     /// Sends one item if the channel has room right now, never blocking
@@ -200,16 +253,10 @@ impl<T> Sender<T> {
     /// [`TrySendError::Disconnected`] when the receiver is gone; both
     /// carry the item back so the caller can account for it.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = recover(self.shared.state.lock());
-        if !state.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if state.buf.len() < self.shared.capacity {
-            state.buf.push_back(value);
-            self.shared.not_empty.notify_one();
-            return Ok(());
-        }
-        Err(TrySendError::Full(value))
+        self.shared.push(value, Some(Instant::now())).map_err(|e| match e {
+            (Stop::Timeout, v) => TrySendError::Full(v),
+            (Stop::Disconnected, v) => TrySendError::Disconnected(v),
+        })
     }
 
     /// Sends one item, giving up after `timeout`.
@@ -218,8 +265,8 @@ impl<T> Sender<T> {
     /// uses it under a non-blocking [`crate::OverloadPolicy`], so a
     /// saturated shard costs ingest at most the configured patience per
     /// batch instead of backpressuring the whole fleet into a stall. A
-    /// zero timeout degrades to a single immediate attempt (the
-    /// [`Sender::try_send`] behavior, minus the spin phase's yields).
+    /// zero timeout is a single immediate attempt, exactly
+    /// [`Sender::try_send`].
     ///
     /// # Errors
     ///
@@ -227,50 +274,10 @@ impl<T> Sender<T> {
     /// deadline, [`SendTimeoutError::Disconnected`] if the receiver was
     /// dropped; both carry the item back.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
-        // Spin phase, bounded by both the retry budget and the deadline.
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if !state.receiver_alive {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                if state.buf.len() < self.shared.capacity {
-                    state.buf.push_back(value);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(SendTimeoutError::Timeout(value));
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        // Park phase: the recv_timeout predicate loop, mirrored.
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if !state.receiver_alive {
-                return Err(SendTimeoutError::Disconnected(value));
-            }
-            if state.buf.len() < self.shared.capacity {
-                state.buf.push_back(value);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) if !d.is_zero() => d,
-                _ => return Err(SendTimeoutError::Timeout(value)),
-            };
-            let (guard, _timed_out) = self
-                .shared
-                .not_full
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            // Loop re-checks capacity and the deadline; a spurious or
-            // timed-out wake is handled identically.
-        }
+        self.shared.push(value, deadline_after(timeout)).map_err(|e| match e {
+            (Stop::Timeout, v) => SendTimeoutError::Timeout(v),
+            (Stop::Disconnected, v) => SendTimeoutError::Disconnected(v),
+        })
     }
 }
 
@@ -283,31 +290,7 @@ impl<T> Receiver<T> {
     /// [`RecvError`] once the channel is empty *and* the sender was
     /// dropped — in-flight items are always drained first.
     pub fn recv(&self) -> Result<T, RecvError> {
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if let Some(v) = state.buf.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if !state.sender_alive {
-                    return Err(RecvError);
-                }
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if let Some(v) = state.buf.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if !state.sender_alive {
-                return Err(RecvError);
-            }
-            state = recover(self.shared.not_empty.wait(state));
-        }
+        self.shared.pop(None).map_err(|_| RecvError)
     }
 
     /// Receives the next item if one is already buffered, never
@@ -320,15 +303,10 @@ impl<T> Receiver<T> {
     /// [`TryRecvError::Disconnected`] when additionally the sender is
     /// gone.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = recover(self.shared.state.lock());
-        if let Some(v) = state.buf.pop_front() {
-            self.shared.not_full.notify_one();
-            return Ok(v);
-        }
-        if !state.sender_alive {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
+        self.shared.pop(Some(Instant::now())).map_err(|e| match e {
+            Stop::Timeout => TryRecvError::Empty,
+            Stop::Disconnected => TryRecvError::Disconnected,
+        })
     }
 
     /// Receives the next item, giving up after `timeout`.
@@ -346,43 +324,10 @@ impl<T> Receiver<T> {
     /// deadline, [`RecvTimeoutError::Disconnected`] once the channel is
     /// empty and the sender was dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if let Some(v) = state.buf.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if !state.sender_alive {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if let Some(v) = state.buf.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if !state.sender_alive {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) if !d.is_zero() => d,
-                _ => return Err(RecvTimeoutError::Timeout),
-            };
-            let (guard, _timed_out) = self
-                .shared
-                .not_empty
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            // Loop re-checks the buffer and the deadline; a spurious or
-            // timed-out wake is handled identically.
-        }
+        self.shared.pop(deadline_after(timeout)).map_err(|e| match e {
+            Stop::Timeout => RecvTimeoutError::Timeout,
+            Stop::Disconnected => RecvTimeoutError::Disconnected,
+        })
     }
 }
 

@@ -195,6 +195,36 @@ fn a_dropped_install_ack_times_out_without_forking_the_fleet() {
 }
 
 #[test]
+fn a_timed_out_canary_exchange_leaves_a_fault_record() {
+    // Every control-plane exchange shares one watchdog, so a canary
+    // install that outlives the control timeout is accounted exactly
+    // like a lost install ack: a typed error now, a record at the drain.
+    let syn = SynFloodDetector::default_deployment();
+    let trace = kdd_trace(120, 87);
+    let mut subject = builder(&syn, 2)
+        .queue_depth(64)
+        .fault_plan(FaultPlan::new().stall(1, 0, Duration::from_millis(400)))
+        .control_timeout(Duration::from_millis(50))
+        .build_streaming();
+    subject.feed(&trace.packets); // shard 1 wedges on its first packet
+
+    let candidate = syn.retune(45, 1, EngineBackend::Threshold);
+    let err = subject.begin_canary(&candidate, 1).expect_err("shard 1 is wedged");
+    assert!(
+        matches!(err, InstallError::Shard(ShardError::Unresponsive { shard: 1, .. })),
+        "{err:?}"
+    );
+    let report = subject.drain();
+    let record = report
+        .faults
+        .records
+        .iter()
+        .find(|r| r.shard == 1 && r.kind == FaultRecordKind::Unresponsive)
+        .expect("the timed-out exchange is on the record");
+    assert!(record.detail.contains("no canary install reply"), "{}", record.detail);
+}
+
+#[test]
 fn a_stalled_shard_trips_the_watchdog_and_is_replaced() {
     // A wedged worker (stalled far past the control timeout) cannot
     // hang the drain: the watchdog gives up on its snapshot, records
